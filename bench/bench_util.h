@@ -27,6 +27,7 @@
 #include "core/virus_generator.h"
 #include "platform/platform.h"
 #include "util/metrics.h"
+#include "util/rng.h"
 #include "util/table.h"
 #include "util/thread_pool.h"
 
@@ -215,7 +216,8 @@ fnv1a64(std::string_view s)
  * recorded fingerprint differs from the requested budget's, so a
  * reduced-budget (quick) artifact can never masquerade as a
  * paper-budget (full) one — and a cache populated before a default
- * budget changed is invalidated instead of silently reused.
+ * budget or the noise model (kNoiseModelVersion) changed is
+ * invalidated instead of silently reused.
  */
 inline std::string
 budgetDescription(const core::VirusSearchConfig &cfg)
@@ -235,7 +237,8 @@ budgetDescription(const core::VirusSearchConfig &cfg)
        << ":f" << cfg.eval.f_lo_hz << '-' << cfg.eval.f_hi_hz
        << ":cores" << cfg.eval.active_cores
        << ":stream" << (cfg.eval.streaming ? 1 : 0)
-       << "|metric:" << core::virusMetricName(cfg.metric);
+       << "|metric:" << core::virusMetricName(cfg.metric)
+       << "|noise:v" << kNoiseModelVersion;
     return os.str();
 }
 

@@ -61,7 +61,7 @@ EmAmplitudeFitness::evaluate(const isa::Kernel &kernel,
     faultAt(FaultPoint::KernelHang, key, attempt,
             latency_.deploy_s + latency_.start_stop_s
                 + latency_.timeout_s);
-    Rng noise = noiseFor(kernel, kEmNoiseSalt);
+    const std::uint64_t noise_key = noiseKeyFor(kernel, kEmNoiseSalt);
     instruments::SaMarker marker;
     std::size_t materialized = 0;
     if (settings_.streaming) {
@@ -111,7 +111,7 @@ EmAmplitudeFitness::evaluate(const isa::Kernel &kernel,
             },
             settings_.active_cores);
         marker = det->averagedMaxAmplitude(settings_.sa_samples,
-                                           noise);
+                                           noise_key);
     } else {
         const auto run = plat().runKernelBatch(
             kernel, settings_.duration_s, settings_.active_cores);
@@ -119,7 +119,7 @@ EmAmplitudeFitness::evaluate(const isa::Kernel &kernel,
             run.v_die.size() + run.i_die.size() + run.em.size();
         marker = plat().analyzer().averagedMaxAmplitude(
             run.em, settings_.f_lo_hz, settings_.f_hi_hz,
-            settings_.sa_samples, noise);
+            settings_.sa_samples, noise_key);
     }
     // The analyzer can return a corrupt marker: the measurement ran
     // to completion, so its full cost is wasted.

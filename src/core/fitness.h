@@ -91,13 +91,20 @@ class PlatformFitness : public ga::FitnessEvaluator
     platform::Platform &plat() const { return *plat_; }
 
     /**
-     * Measurement-noise stream for one kernel: a pure function of
-     * the kernel genome, the platform seed and a per-metric salt.
+     * Measurement-noise key for one kernel: a pure function of the
+     * kernel genome, the platform seed and a per-metric salt.
      */
-    Rng noiseFor(const isa::Kernel &kernel,
-                 std::uint64_t salt) const
+    std::uint64_t
+    noiseKeyFor(const isa::Kernel &kernel, std::uint64_t salt) const
     {
-        return Rng(mixSeed(kernel.hash() ^ salt, plat_->seed()));
+        return mixSeed(kernel.hash() ^ salt, plat_->seed());
+    }
+
+    /** Measurement-noise stream seeded with noiseKeyFor(). */
+    Rng
+    noiseFor(const isa::Kernel &kernel, std::uint64_t salt) const
+    {
+        return Rng(noiseKeyFor(kernel, salt));
     }
 
     /** Injected-fault check: no-op without an injector. */

@@ -112,9 +112,8 @@ ResonanceExplorer::sweep(double duration_s, std::size_t sa_samples,
                                                  &*det};
             },
             active_cores);
-        Rng noise(mixSeed(plat.seed() ^ kEmSweepNoiseSalt, i));
-        const auto marker =
-            det->averagedMaxAmplitude(sa_samples, noise);
+        const auto marker = det->averagedMaxAmplitude(
+            sa_samples, mixSeed(plat.seed() ^ kEmSweepNoiseSalt, i));
         return {plat.frequency(), f_spike, marker.power_dbm};
     };
 

@@ -23,6 +23,15 @@ virusMetricName(VirusMetric metric)
     return "unknown";
 }
 
+namespace {
+
+/// Noise salts of the post-search characterization (distinct from
+/// the fitness evaluators' so the two measurements stay independent).
+constexpr std::uint64_t kCharacterizeSaSalt = 0x434841525f5341ull;
+constexpr std::uint64_t kCharacterizeScopeSalt = 0x434841525f4453ull;
+
+} // namespace
+
 VirusGenerator::VirusGenerator(platform::Platform &plat) : plat_(plat)
 {}
 
@@ -69,12 +78,20 @@ VirusGenerator::characterize(const isa::Kernel &kernel,
     report.loop_freq_hz = run.stats.loop_freq_hz;
     report.ipc = run.stats.ipc;
 
+    // Noise keyed by (kernel, platform seed), like the fitness
+    // evaluators': a report depends only on what is characterized,
+    // never on how many measurements the platform made before it.
+    const auto noiseKey = [&](std::uint64_t salt) {
+        return mixSeed(kernel.hash() ^ salt, plat_.seed());
+    };
     const auto marker = plat_.analyzer().averagedMaxAmplitude(
-        run.em, eval.f_lo_hz, eval.f_hi_hz, eval.sa_samples);
+        run.em, eval.f_lo_hz, eval.f_hi_hz, eval.sa_samples,
+        noiseKey(kCharacterizeSaSalt));
     report.dominant_freq_hz = marker.freq_hz;
 
     if (plat_.hasVoltageVisibility()) {
-        const Trace cap = plat_.scope().capture(run.v_die);
+        Rng scope_noise(noiseKey(kCharacterizeScopeSalt));
+        const Trace cap = plat_.scope().capture(run.v_die, scope_noise);
         report.max_droop_v = instruments::Oscilloscope::maxDroop(
             cap, plat_.voltage());
         report.peak_to_peak_v =

@@ -13,6 +13,7 @@
 #define EMSTRESS_INSTRUMENTS_SPECTRUM_ANALYZER_H
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -56,13 +57,16 @@ struct SaMarker
 
 /**
  * Streaming band-max detector: the SampleSink counterpart of feeding
- * a received-voltage trace through sweep() + maxAmplitude(). A
- * Goertzel bank watches only the FFT-grid bins inside [f_lo, f_hi],
- * so memory is O(band bins), not O(capture). Measurement noise
- * replays the batch path's draw order exactly — three gaussians per
- * displayed bin, ascending frequency — so a given Rng stream yields
- * the same markers as the batch instrument (amplitudes agree to the
- * Goertzel recurrence's ~1e-12 relative rounding).
+ * a received-voltage trace through
+ * SpectrumAnalyzer::averagedMaxAmplitude(). A Goertzel bank watches
+ * only the FFT-grid bins inside [f_lo, f_hi], so memory is O(band
+ * bins), not O(capture).
+ *
+ * Measurement noise is counter-keyed (see SpectrumAnalyzer): each
+ * (sweep, grid bin) cell's noise is a pure function of the noise key,
+ * so only the in-band bins are drawn and a given key yields the same
+ * markers as the batch instrument (amplitudes agree to the Goertzel
+ * recurrence's ~1e-12 relative rounding).
  *
  * Not copyable or movable: the Goertzel accumulator references the
  * bank member. Construct in place (e.g. std::optional::emplace).
@@ -99,24 +103,26 @@ class SaBandDetector final : public SampleSink
     void push(double v) override { goertzel_.push(v); }
 
     /**
-     * One noisy sweep's band maximum, as maxAmplitude(sweep(...)).
+     * One noisy sweep's band maximum, as
+     * SpectrumAnalyzer::maxAmplitude(sweep(...)) with the same noise
+     * key. Draws the key from `noise` (one word).
      * @pre the full capture has been pushed.
      */
     SaMarker maxAmplitude(Rng &noise) const;
 
     /**
      * The paper's RMS-of-N-sweeps statistic, matching the batch
-     * SpectrumAnalyzer::averagedMaxAmplitude draw for draw.
+     * SpectrumAnalyzer::averagedMaxAmplitude for the same noise key.
      * @pre the full capture has been pushed.
      */
+    SaMarker averagedMaxAmplitude(std::size_t n_samples,
+                                  std::uint64_t noise_key) const;
+
+    /** As above, drawing the noise key from `noise` (one word). */
     SaMarker averagedMaxAmplitude(std::size_t n_samples,
                                   Rng &noise) const;
 
   private:
-    /** Replay one display sweep over precomputed band amplitudes. */
-    SaMarker sweepMax(const std::vector<double> &amps,
-                      Rng &noise) const;
-
     SpectrumAnalyzerParams params_;
     double f_lo_;
     double f_hi_;
@@ -126,8 +132,21 @@ class SaBandDetector final : public SampleSink
 };
 
 /**
- * Spectrum analyzer. Holds its own RNG stream so that measurement
- * noise is reproducible per instrument instance.
+ * Spectrum analyzer.
+ *
+ * Measurement noise is counter-keyed: sweep i's reading of FFT-grid
+ * bin k is the bin's signal power times a log-normal gain ripple,
+ * plus an exponentially distributed noise-floor power (the power of
+ * a Rayleigh-envelope floor), both drawn from cell (i, k / 2) of a
+ * CounterRng with the measurement's noise key (one cell serves the
+ * bin pair 2j, 2j + 1). A reading therefore
+ * depends only on (key, sweep, bin): band-limited measurements draw
+ * only the bins they observe, and a full sweep() agrees with any
+ * band marker of the same key on every in-band bin.
+ *
+ * Overloads taking an Rng draw the noise key from it (one word per
+ * measurement); the non-const ones use the instrument's own stream,
+ * so repeated measurements see fresh noise.
  */
 class SpectrumAnalyzer
 {
@@ -139,7 +158,7 @@ class SpectrumAnalyzer
     const SpectrumAnalyzerParams &params() const { return params_; }
 
     /**
-     * The instrument's internal measurement-noise stream. Streaming
+     * The instrument's internal noise-key stream. Streaming
      * detectors draw from it to replicate the non-const batch
      * methods, advancing the state identically.
      */
@@ -147,19 +166,23 @@ class SpectrumAnalyzer
 
     /**
      * Acquire one sweep from a received voltage trace. Bins outside
-     * [f_start, f_stop] are discarded; every bin is clamped at the
-     * noise floor and perturbed by gain error and floor noise.
+     * [f_start, f_stop] are discarded; every bin is perturbed by gain
+     * error and floor noise.
      */
     SaSweep sweep(const Trace &v_received);
 
     /**
-     * Like sweep(), but drawing measurement noise from a
-     * caller-provided stream instead of the instrument's internal
-     * one. Const and reentrant: concurrent measurements stay
-     * reproducible when each caller seeds its own stream (e.g. from
-     * the measured kernel's hash).
+     * Like sweep(), but drawing the noise key from a caller-provided
+     * stream instead of the instrument's internal one. Const and
+     * reentrant: concurrent measurements stay reproducible when each
+     * caller seeds its own stream (e.g. from the measured kernel's
+     * hash).
      */
     SaSweep sweep(const Trace &v_received, Rng &noise) const;
+
+    /** Sweep number `sweep_index` of the given noise key. */
+    SaSweep sweep(const Trace &v_received, std::uint64_t noise_key,
+                  std::size_t sweep_index) const;
 
     /** Highest-level marker within a band of a sweep. */
     static SaMarker maxAmplitude(const SaSweep &sweep, double f_lo,
@@ -170,24 +193,26 @@ class SpectrumAnalyzer
      * same signal (fresh measurement noise each), take the max
      * amplitude in [f_lo, f_hi] per sweep, and return the RMS of the
      * linear amplitudes converted back to dBm, along with the modal
-     * peak frequency.
+     * peak frequency. Only the bins inside the band are drawn.
      */
     SaMarker averagedMaxAmplitude(const Trace &v_received, double f_lo,
                                   double f_hi, std::size_t n_samples);
 
     /**
-     * Like averagedMaxAmplitude(), with caller-provided measurement
-     * noise. Const and reentrant (see sweep() overload).
+     * Like averagedMaxAmplitude(), with the noise key drawn from a
+     * caller-provided stream. Const and reentrant (see sweep()
+     * overload).
      */
     SaMarker averagedMaxAmplitude(const Trace &v_received, double f_lo,
                                   double f_hi, std::size_t n_samples,
                                   Rng &noise) const;
 
-  private:
-    /** Apply display-span filtering and measurement noise to a
-     * precomputed spectrum. */
-    SaSweep noisySweep(const dsp::Spectrum &spec, Rng &noise) const;
+    /** Like averagedMaxAmplitude(), for an explicit noise key. */
+    SaMarker averagedMaxAmplitude(const Trace &v_received, double f_lo,
+                                  double f_hi, std::size_t n_samples,
+                                  std::uint64_t noise_key) const;
 
+  private:
     SpectrumAnalyzerParams params_;
     Rng rng_;
 };

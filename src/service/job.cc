@@ -9,6 +9,7 @@
 
 #include "platform/platform.h"
 #include "util/error.h"
+#include "util/rng.h"
 
 namespace emstress {
 namespace service {
@@ -124,13 +125,15 @@ jobDescription(const JobSpec &spec)
        << ":f" << spec.eval.f_lo_hz << '-' << spec.eval.f_hi_hz
        << ":cores" << spec.eval.active_cores
        << ":stream" << (spec.eval.streaming ? 1 : 0)
-       << "|metric:" << core::virusMetricName(spec.metric);
+       << "|metric:" << core::virusMetricName(spec.metric)
+       // Not a spec field: the measurement model the result was
+       // computed under. Artifacts stored under another noise model
+       // version are stale, and must miss.
+       << "|noise:v" << kNoiseModelVersion;
     // Active-mode fields extend the description; the passive form
-    // stays byte-identical to the pre-EMFI service, so (a) stored
-    // passive artifacts from older deployments remain addressable
-    // and (b) an active spec can never collide with a passive one
-    // that matches it field-for-field — the "|mode:emfi" suffix
-    // alone separates the preimages.
+    // carries no mode field, so an active spec can never collide
+    // with a passive one that matches it field-for-field — the
+    // "|mode:emfi" suffix alone separates the preimages.
     if (spec.mode == JobMode::kActiveEmfi) {
         os << "|mode:" << jobModeName(spec.mode)
            << "|victim:seed" << spec.emfi.victim_seed

@@ -199,7 +199,9 @@ struct JobEvent
  * cache's budgetDescription contract: anything that can change the
  * search result must appear here, so a stored artifact can never be
  * served for a spec that would have searched differently. The tenant
- * is deliberately absent.
+ * is deliberately absent; the noise model version (kNoiseModelVersion)
+ * is present, so artifacts computed under an older measurement model
+ * miss instead of being served as current.
  */
 std::string jobDescription(const JobSpec &spec);
 

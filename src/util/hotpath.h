@@ -17,9 +17,11 @@
  * on reductions or anything whose FP association depends on lane
  * count.
  *
- * FMA is intentionally *not* in the clone list: fused multiply-add
- * contracts a*b+c into one rounding, which would make AVX2 hosts
- * disagree with baseline ones bit-for-bit.
+ * FMA is intentionally *not* in the clone list, and src/ builds
+ * with -ffp-contract=off: fused multiply-add rounds a*b+c once
+ * instead of twice, which would make FMA-capable hosts (an FMA clone
+ * here, or an aarch64 build, where FMA is baseline) disagree with
+ * baseline x86-64 ones bit-for-bit.
  */
 
 #ifndef EMSTRESS_UTIL_HOTPATH_H

@@ -2,20 +2,48 @@
  * @file
  * Deterministic random number generation. Every stochastic component
  * in emstress (GA operators, measurement noise, workload generators,
- * SDC classification) draws from an explicitly seeded Rng so that
- * experiments are exactly reproducible from a seed.
+ * SDC classification) draws from an explicitly seeded Rng or a
+ * counter-keyed CounterRng so that experiments are exactly
+ * reproducible from a seed.
+ *
+ * Every draw algorithm lives in this file. The standard library
+ * supplies only std::mt19937_64, whose output sequence the standard
+ * specifies; the std::*_distribution adaptors are
+ * implementation-defined (libstdc++ and libc++ turn the same engine
+ * words into different variates), so none of them is used — the
+ * emstress-lint rule R1 rejects them anywhere under src/.
  */
 
 #ifndef EMSTRESS_UTIL_RNG_H
 #define EMSTRESS_UTIL_RNG_H
 
+#include <array>
+#include <cmath>
 #include <cstdint>
 #include <random>
 #include <span>
 
 #include "util/error.h"
+#include "util/units.h"
 
 namespace emstress {
+
+/**
+ * Version of the draw algorithms and the measurement-noise model.
+ * Every content address of a computed result (the service's job
+ * fingerprint, the bench virus cache's budget fingerprint) includes
+ * it, so results computed under an older noise model are never
+ * served as current. Bump it whenever any draw below, or the way an
+ * instrument consumes draws, changes.
+ *
+ * History: 1 — spectrum-analyzer noise replayed in stream order,
+ * three gaussians per displayed bin; 2 — counter-keyed analyzer
+ * noise, drawn for in-band bins only. The Rng stream draws moved
+ * from std distributions to this file in version 2 without changing
+ * a single realization (they reproduce the algorithms libstdc++
+ * used), so they need no bump of their own.
+ */
+inline constexpr int kNoiseModelVersion = 2;
 
 /**
  * splitmix64 finalizer: scrambles a 64-bit value into a well-mixed
@@ -41,10 +69,129 @@ mixSeed(std::uint64_t a, std::uint64_t b)
     return mixSeed(a ^ mixSeed(b));
 }
 
+/** Top 53 bits of a random word as a double in [0, 1). */
+inline double
+unitDouble(std::uint64_t bits)
+{
+    return static_cast<double>(bits >> 11) * 0x1.0p-53;
+}
+
+/** Top 53 bits of a random word as a double in (0, 1]: log-safe. */
+inline double
+openUnitDouble(std::uint64_t bits)
+{
+    return static_cast<double>((bits >> 11) + 1) * 0x1.0p-53;
+}
+
+/** Full 128-bit product a*b: returns the high word, sets lo. */
+inline std::uint64_t
+mulWide(std::uint64_t a, std::uint64_t b, std::uint64_t &lo)
+{
+    constexpr std::uint64_t kLow32 = 0xffffffffull;
+    const std::uint64_t p0 = (a & kLow32) * (b & kLow32);
+    const std::uint64_t p1 = (a & kLow32) * (b >> 32);
+    const std::uint64_t p2 = (a >> 32) * (b & kLow32);
+    const std::uint64_t p3 = (a >> 32) * (b >> 32);
+    const std::uint64_t mid = (p0 >> 32) + (p1 & kLow32) + (p2 & kLow32);
+    lo = (mid << 32) | (p0 & kLow32);
+    return p3 + (p1 >> 32) + (p2 >> 32) + (mid >> 32);
+}
+
 /**
- * Seeded pseudo-random source wrapping std::mt19937_64 with the
- * convenience draws the library needs. Cheap to copy; copies evolve
- * independently, which forks a reproducible sub-stream.
+ * Unbiased integer in [0, range) from a 64-bit word source, by
+ * Lemire's multiply-and-reject method (one division only on the rare
+ * rejection path). @pre range > 0.
+ */
+template <typename NextWord>
+std::uint64_t
+boundedBelow(std::uint64_t range, NextWord &&next)
+{
+    std::uint64_t lo = 0;
+    std::uint64_t hi = mulWide(next(), range, lo);
+    if (lo < range) {
+        const std::uint64_t threshold = (0 - range) % range;
+        while (lo < threshold)
+            hi = mulWide(next(), range, lo);
+    }
+    return hi;
+}
+
+/**
+ * Counter-based noise: every draw is a pure function of a 64-bit key
+ * and a (row, column) counter, with no stream state. A consumer that
+ * reads cell (row, column) sees the same values whichever other cells
+ * were drawn before it, and in whatever order — so a measurement can
+ * draw only the cells it observes, and two code paths observing the
+ * same cell agree by construction.
+ */
+class CounterRng
+{
+  public:
+    /** The draws of one (row, column) cell: a short splitmix64 stream. */
+    class Cell
+    {
+      public:
+        explicit Cell(std::uint64_t state) : state_(state) {}
+
+        /** Next raw 64-bit word of the cell. */
+        std::uint64_t
+        next()
+        {
+            state_ += 0x9e3779b97f4a7c15ull;
+            return mixSeed(state_);
+        }
+
+        /**
+         * Two independent standard normals by Box–Muller (consumes
+         * two words).
+         */
+        std::array<double, 2>
+        normalPair()
+        {
+            const double r =
+                std::sqrt(-2.0 * std::log(openUnitDouble(next())));
+            const double theta = kTwoPi * unitDouble(next());
+            return {r * std::cos(theta), r * std::sin(theta)};
+        }
+
+        /** Unit-mean exponential, -log(U) (consumes one word). */
+        double exponential() { return -std::log(openUnitDouble(next())); }
+
+      private:
+        std::uint64_t state_;
+    };
+
+    explicit CounterRng(std::uint64_t key) : key_(key) {}
+
+    /** Draws of cell (row, column). */
+    Cell
+    cell(std::uint64_t row, std::uint64_t column) const
+    {
+        return Cell(mixSeed(mixSeed(key_, row), column));
+    }
+
+  private:
+    std::uint64_t key_;
+};
+
+/**
+ * A random word as a double in [0, 1): the word rounded to the
+ * nearest double, scaled by 2^-64 and clamped below 1 — the
+ * canonical conversion for a 64-bit engine (the one libstdc++'s
+ * generate_canonical performs), so Rng streams keep the
+ * realizations of builds that drew through std distributions.
+ */
+inline double
+canonicalDouble(std::uint64_t word)
+{
+    const double u = static_cast<double>(word) * 0x1.0p-64;
+    return u < 1.0 ? u : 0x1.fffffffffffffp-1;
+}
+
+/**
+ * Seeded pseudo-random stream: std::mt19937_64 words turned into
+ * variates by this file's own algorithms. Cheap to copy; copies
+ * evolve independently, which forks a reproducible sub-stream.
  */
 class Rng
 {
@@ -59,18 +206,26 @@ class Rng
         return Rng(engine_());
     }
 
+    /** Next raw 64-bit word (e.g. to key a CounterRng). */
+    std::uint64_t bits() { return engine_(); }
+
     /** Uniform double in [lo, hi). */
     double
     uniform(double lo, double hi)
     {
-        return std::uniform_real_distribution<double>(lo, hi)(engine_);
+        return canonicalDouble(engine_()) * (hi - lo) + lo;
     }
 
-    /** Uniform integer in [lo, hi] inclusive. */
+    /** Uniform integer in [lo, hi] inclusive. @pre lo <= hi. */
     int
     uniformInt(int lo, int hi)
     {
-        return std::uniform_int_distribution<int>(lo, hi)(engine_);
+        requireSim(lo <= hi, "Rng::uniformInt called with lo > hi");
+        const auto range = static_cast<std::uint64_t>(
+                               static_cast<std::int64_t>(hi) - lo)
+            + 1;
+        return static_cast<int>(
+            lo + static_cast<std::int64_t>(boundedBelow(range, engine_)));
     }
 
     /** Uniform size_t index in [0, n). @pre n > 0. */
@@ -78,14 +233,27 @@ class Rng
     index(std::size_t n)
     {
         requireSim(n > 0, "Rng::index called with empty range");
-        return std::uniform_int_distribution<std::size_t>(0, n - 1)(engine_);
+        return static_cast<std::size_t>(boundedBelow(n, engine_));
     }
 
-    /** Gaussian draw with the given mean and standard deviation. */
+    /**
+     * Gaussian draw with the given mean and standard deviation, by
+     * Marsaglia's polar method. Each draw takes a fresh accepted pair
+     * and uses its second variate only: keeping the first for the
+     * next call would halve the cost but change every stream's
+     * realization (see kNoiseModelVersion).
+     */
     double
     gaussian(double mean, double stddev)
     {
-        return std::normal_distribution<double>(mean, stddev)(engine_);
+        double x = 0.0, y = 0.0, r2 = 0.0;
+        do {
+            x = 2.0 * canonicalDouble(engine_()) - 1.0;
+            y = 2.0 * canonicalDouble(engine_()) - 1.0;
+            r2 = x * x + y * y;
+        } while (r2 > 1.0 || r2 == 0.0);
+        const double scale = std::sqrt(-2.0 * std::log(r2) / r2);
+        return y * scale * stddev + mean;
     }
 
     /** Bernoulli draw: true with probability p. */
@@ -96,7 +264,7 @@ class Rng
             return false;
         if (p >= 1.0)
             return true;
-        return std::bernoulli_distribution(p)(engine_);
+        return canonicalDouble(engine_()) < p;
     }
 
     /** Pick a uniformly random element of a non-empty span. */
@@ -107,7 +275,11 @@ class Rng
         return items[index(items.size())];
     }
 
-    /** Underlying engine access for std distributions. */
+    /**
+     * Underlying engine access, for standard algorithms that take a
+     * uniform random bit generator (their output is
+     * implementation-defined: keep them off result paths).
+     */
     std::mt19937_64 &engine() { return engine_; }
 
   private:

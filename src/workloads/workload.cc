@@ -243,7 +243,7 @@ generateStream(const WorkloadProfile &profile,
                   profile.name + ": phase_len must be positive");
 
     // Salt the stream per profile for reproducible distinctness.
-    Rng stream_rng(rng.engine()() ^ profile.seed_salt);
+    Rng stream_rng(rng.bits() ^ profile.seed_salt);
 
     std::vector<isa::Instruction> out;
     out.reserve(length);

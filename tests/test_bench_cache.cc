@@ -18,6 +18,7 @@
 
 #include "bench/bench_util.h"
 #include "platform/platform.h"
+#include "util/rng.h"
 
 namespace emstress {
 namespace {
@@ -203,6 +204,32 @@ TEST_F(BenchCacheTest, QuickEntryIsNotServedToFullRequest)
     EXPECT_FALSE(bench::searchOrLoadVirus(dir_, "v.full", plat,
                                           full_cfg)
                      .from_cache);
+}
+
+TEST_F(BenchCacheTest, PreviousNoiseModelEntriesNeverServe)
+{
+    // tinyConfig(7)'s budget description and fingerprint under noise
+    // model 1: a virus cached then was searched under other
+    // measurement noise and must be re-searched, not reused.
+    const std::string v1_desc =
+        "ga:4x2:len8:mut0.029999999999999999:op0.5:tk3:el2:seed7:rs1"
+        "|eval:dur9.9999999999999995e-07:sa2:f50000000-200000000"
+        ":cores0:stream1|metric:em-amplitude";
+    const std::uint64_t v1_fingerprint = 0x646de96c8caf1bb3ull;
+
+    const auto cfg = tinyConfig(7);
+    EXPECT_EQ(bench::budgetDescription(cfg),
+              v1_desc + "|noise:v" + std::to_string(kNoiseModelVersion));
+    EXPECT_NE(bench::budgetFingerprint(cfg), v1_fingerprint);
+
+    // A complete entry recorded under the old fingerprint.
+    std::ofstream(dir_ / "v.quick.kernel") << "\n";
+    std::ofstream(dir_ / "v.quick.history") << "0\n";
+    std::ofstream(dir_ / "v.quick.meta")
+        << "fingerprint " << std::hex << v1_fingerprint << "\n";
+    EXPECT_TRUE(bench::cachedVirusServes(dir_, "v.quick", v1_fingerprint));
+    EXPECT_FALSE(bench::cachedVirusServes(
+        dir_, "v.quick", bench::budgetFingerprint(cfg)));
 }
 
 TEST_F(BenchCacheTest, PreFingerprintEntriesNeverServe)

@@ -51,6 +51,29 @@ TEST(LintR1, FlagsUnseededRandomness)
     EXPECT_EQ(f[1].line, 2);
 }
 
+TEST(LintR1, FlagsImplementationDefinedDistributions)
+{
+    // A seeded engine is not enough: the adaptors' algorithms differ
+    // between standard libraries.
+    const auto f = lintCc(
+        "std::mt19937_64 eng(1);\n"
+        "std::normal_distribution<double> n(0.0, 1.0);\n"
+        "std::uniform_int_distribution<int> u(0, 9);\n"
+        "std::uniform_real_distribution<double> r(0.0, 1.0);\n"
+        "std::bernoulli_distribution b(0.5);\n"
+        "std::discrete_distribution<int> d({1.0, 2.0});\n");
+    EXPECT_EQ(countRule(f, "R1"), 5u);
+    EXPECT_EQ(f[0].line, 2);
+    // Unlike rand/random_device, the ban has no util/rng.h exemption:
+    // the Rng draws are the project's own.
+    const auto home = analyzeSource(
+        "src/util/rng.h", "std::normal_distribution<double> n;\n");
+    EXPECT_EQ(countRule(home, "R1"), 1u);
+    // Lookalike identifiers are not distributions.
+    const auto other = lintCc("double weight_distribution = 0.0;\n");
+    EXPECT_EQ(countRule(other, "R1"), 0u);
+}
+
 TEST(LintR1, FlagsClocksAndGetenv)
 {
     const auto f =

@@ -30,6 +30,7 @@
 #include "service/transport.h"
 #include "service/wire.h"
 #include "util/error.h"
+#include "util/rng.h"
 
 namespace emstress {
 namespace service {
@@ -202,6 +203,28 @@ TEST(JobModel, FingerprintTracksContentNotTenant)
     scheduled.job_class = JobClass::kInteractive;
     scheduled.deadline_s = 1.5;
     EXPECT_EQ(jobFingerprint(base), jobFingerprint(scheduled));
+}
+
+TEST(JobModel, NoiseModelUpgradeInvalidatesStoredArtifacts)
+{
+    // smallSpec(9)'s description and content address under noise
+    // model 1 (stream-order analyzer noise, std distributions). An
+    // artifact spilled under it was computed with other measurement
+    // noise, so it must miss rather than be served as current.
+    const std::string v1_desc =
+        "plat:a72:seed42|ga:10x5:len12:mut0.029999999999999999:op0.5"
+        ":tk3:el2:seed9:rs1:ra4|eval:dur3.9999999999999998e-06:sa30"
+        ":f50000000-200000000:cores0:stream1|metric:em-amplitude";
+    const std::uint64_t v1_fingerprint = 0x9809132770fc78e2ull;
+
+    const JobSpec spec = smallSpec(9);
+    EXPECT_EQ(jobDescription(spec),
+              v1_desc + "|noise:v" + std::to_string(kNoiseModelVersion));
+    EXPECT_NE(jobFingerprint(spec), v1_fingerprint);
+
+    ArtifactStore store({});
+    store.insert(v1_fingerprint, std::make_shared<const JobResult>());
+    EXPECT_EQ(store.fetch(jobFingerprint(spec)), nullptr);
 }
 
 TEST(JobModel, CrossModeSpecsNeverShareAnArtifact)

@@ -10,6 +10,7 @@
  */
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <optional>
@@ -27,6 +28,7 @@
 #include "util/rng.h"
 #include "util/sample_sink.h"
 #include "util/trace.h"
+#include "util/units.h"
 
 namespace emstress {
 namespace core {
@@ -192,6 +194,69 @@ TEST(StreamingInstruments, GoertzelBandMaxMatchesFftSweep)
         const auto s2 = det.averagedMaxAmplitude(1, n2);
         EXPECT_NEAR(s2.power_dbm, s1.power_dbm, 1e-6);
         EXPECT_DOUBLE_EQ(s2.freq_hz, s1.freq_hz);
+    }
+}
+
+TEST(StreamingInstruments, NarrowingTheBandKeepsEveryInBandReading)
+{
+    // Analyzer noise is keyed by (key, sweep, grid bin), not by draw
+    // order: a band marker draws only its own bins, and each of them
+    // reads exactly what the full display sweep shows there.
+    platform::Platform plat(platform::junoA72Config(), 3);
+    plat.setFrequency(560e6);
+    const auto kernel = ResonanceExplorer::probeLoop(plat.pool());
+    const auto run = plat.runKernelBatch(kernel, 2e-6);
+    const auto &sa = plat.analyzer();
+    const std::uint64_t key = 0xba4dull;
+    const auto full = sa.sweep(run.em, key, 0);
+
+    // Every in-band bin as a one-bin band, on both paths.
+    std::size_t checked = 0;
+    for (std::size_t k = 0; k < full.size(); ++k) {
+        const double f = full.freqs_hz[k];
+        if (f < 50e6 || f > 200e6)
+            continue;
+        const auto batch = sa.averagedMaxAmplitude(run.em, f, f, 1, key);
+        EXPECT_EQ(batch.power_dbm, full.power_dbm[k]) << "f=" << f;
+        EXPECT_EQ(batch.freq_hz, f);
+
+        instruments::SaBandDetector det(sa.params(), run.em.size(),
+                                        run.em.sampleRate(), f, f);
+        for (double v : run.em.samples())
+            det.push(v);
+        det.finish();
+        const auto stream = det.averagedMaxAmplitude(1, key);
+        EXPECT_NEAR(stream.power_dbm, full.power_dbm[k], 1e-6)
+            << "f=" << f;
+        EXPECT_EQ(stream.freq_hz, f);
+        ++checked;
+    }
+    EXPECT_GT(checked, 100u);
+
+    // Nested bands: each marker is the full sweeps' maximum over its
+    // band, and the N-sweep statistic is the RMS of those maxima.
+    constexpr std::size_t kSweeps = 5;
+    std::vector<instruments::SaSweep> sweeps;
+    for (std::size_t s = 0; s < kSweeps; ++s)
+        sweeps.push_back(sa.sweep(run.em, key, s));
+    const double bands[][2] = {
+        {50e6, 200e6}, {60e6, 120e6}, {70e6, 80e6}};
+    for (const auto &band : bands) {
+        double sum_sq_w = 0.0;
+        std::vector<double> freqs;
+        for (const auto &sw : sweeps) {
+            const auto m = instruments::SpectrumAnalyzer::maxAmplitude(
+                sw, band[0], band[1]);
+            sum_sq_w += dbmToWatts(m.power_dbm) * dbmToWatts(m.power_dbm);
+            freqs.push_back(m.freq_hz);
+        }
+        std::sort(freqs.begin(), freqs.end());
+        const double want_dbm = wattsToDbm(
+            std::sqrt(sum_sq_w / static_cast<double>(kSweeps)));
+        const auto got = sa.averagedMaxAmplitude(run.em, band[0],
+                                                 band[1], kSweeps, key);
+        EXPECT_NEAR(got.power_dbm, want_dbm, 1e-9) << band[0];
+        EXPECT_EQ(got.freq_hz, freqs[kSweeps / 2]) << band[0];
     }
 }
 

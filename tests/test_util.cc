@@ -11,6 +11,8 @@
 #include <numeric>
 #include <span>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "util/rng.h"
 #include "util/stats.h"
@@ -264,6 +266,157 @@ TEST(Table, CsvEscapesQuotesAndNewlines)
     const std::string csv = t.toCsv();
     EXPECT_NE(csv.find("\"say \"\"hi\"\"\nthere\""),
               std::string::npos);
+}
+
+// Cross-host canary: the first draws of every Rng method and of a
+// CounterRng cell for fixed seeds, bit for bit. The engine's output
+// sequence is fixed by the standard and every draw algorithm lives
+// in util/rng.h, so these hold on any conforming toolchain; a
+// mismatch means results are no longer comparable across hosts (or
+// that a draw changed, which must bump kNoiseModelVersion). The Rng
+// values are also what std::uniform_real/uniform_int/normal/
+// bernoulli_distribution draw under libstdc++, whose algorithms Rng
+// reproduces so that earlier stream realizations are kept.
+TEST(RngCanary, EngineWords)
+{
+    Rng rng(2024);
+    EXPECT_EQ(rng.bits(), 0x9cd8e4f4abe59236ull);
+    EXPECT_EQ(rng.bits(), 0xcb72831a7ae6db81ull);
+    EXPECT_EQ(rng.bits(), 0x44021b39b1bc6335ull);
+    EXPECT_EQ(rng.bits(), 0x559480035c988e9aull);
+}
+
+TEST(RngCanary, UniformDraws)
+{
+    Rng rng(2024);
+    EXPECT_EQ(rng.uniform(-1.0, 3.0), 0x1.736393d2af964p+0);
+    EXPECT_EQ(rng.uniform(-1.0, 3.0), 0x1.16e50634f5cdbp+1);
+    EXPECT_EQ(rng.uniform(-1.0, 3.0), 0x1.0086ce6c6f19p-4);
+    EXPECT_EQ(rng.uniform(-1.0, 3.0), 0x1.59480035c989p-2);
+}
+
+TEST(RngCanary, BoundedIntegerDraws)
+{
+    Rng ints(2024);
+    for (const int want : {9, 13, 1, 2, -5, -2, 16, 8})
+        EXPECT_EQ(ints.uniformInt(-5, 17), want);
+    Rng idx(2024);
+    for (const std::size_t want :
+         {612686u, 794718u, 265657u, 334298u, 6194u, 140206u, 936453u,
+          566821u})
+        EXPECT_EQ(idx.index(1000003), want);
+}
+
+TEST(RngCanary, GaussianDraws)
+{
+    Rng rng(2024);
+    EXPECT_EQ(rng.gaussian(1.0, 2.0), 0x1.c47c891d355edp+1);
+    EXPECT_EQ(rng.gaussian(1.0, 2.0), -0x1.70f1d684b7c8ap-1);
+    EXPECT_EQ(rng.gaussian(1.0, 2.0), 0x1.36a5664f2e908p+0);
+    EXPECT_EQ(rng.gaussian(1.0, 2.0), 0x1.66c8b40ef11e9p+0);
+}
+
+TEST(RngCanary, ChanceAndForkDraws)
+{
+    Rng rng(2024);
+    std::string coins;
+    for (int i = 0; i < 16; ++i)
+        coins += rng.chance(0.3) ? '1' : '0';
+    EXPECT_EQ(coins, "0010110010000011");
+
+    Rng parent(2024);
+    Rng child = parent.fork();
+    EXPECT_EQ(child.uniform(0.0, 1.0), 0x1.2475c0ee4573dp-1);
+    EXPECT_EQ(child.uniform(0.0, 1.0), 0x1.56b36852b5eaap-3);
+}
+
+TEST(RngCanary, CounterCellDraws)
+{
+    CounterRng::Cell cell = CounterRng(2024).cell(3, 517);
+    EXPECT_EQ(cell.next(), 0xd23619facb6d2edbull);
+    const auto z = cell.normalPair();
+    EXPECT_EQ(z[0], 0x1.b05506bf1e05bp-1);
+    EXPECT_EQ(z[1], -0x1.a3673a0aec4e1p-2);
+    EXPECT_EQ(cell.exponential(), 0x1.b6a16f7bf2c5bp+0);
+}
+
+TEST(CounterRng, CellsArePureFunctionsOfKeyAndCounter)
+{
+    const CounterRng noise(99);
+    // Draw order and interleaving do not matter: a cell replays.
+    CounterRng::Cell a = noise.cell(4, 10);
+    (void)noise.cell(4, 11).next();
+    (void)noise.cell(5, 10).next();
+    CounterRng::Cell b = noise.cell(4, 10);
+    for (int i = 0; i < 4; ++i)
+        EXPECT_EQ(a.next(), b.next());
+    // Neighbouring counters and keys draw different words.
+    const std::uint64_t w = noise.cell(4, 10).next();
+    EXPECT_NE(noise.cell(4, 11).next(), w);
+    EXPECT_NE(noise.cell(5, 10).next(), w);
+    EXPECT_NE(noise.cell(10, 4).next(), w);
+    EXPECT_NE(CounterRng(100).cell(4, 10).next(), w);
+}
+
+/** Mean and (population) variance of n draws of fn. */
+template <typename Fn>
+std::pair<double, double>
+moments(int n, Fn fn)
+{
+    stats::Running run;
+    for (int i = 0; i < n; ++i)
+        run.add(fn(i));
+    return {run.mean(), run.variance()};
+}
+
+TEST(RngStatistics, KeyedNormalsAreStandard)
+{
+    // 1e5 draws: the mean's standard error is 0.0032 and the
+    // variance's 0.0045, so the bounds sit at about 6 sigma.
+    const CounterRng noise(0x5eed);
+    const auto [mean0, var0] = moments(100000, [&](int i) {
+        return noise.cell(0, static_cast<std::uint64_t>(i))
+            .normalPair()[0];
+    });
+    EXPECT_NEAR(mean0, 0.0, 0.02);
+    EXPECT_NEAR(var0, 1.0, 0.03);
+    const auto [mean1, var1] = moments(100000, [&](int i) {
+        return noise.cell(1, static_cast<std::uint64_t>(i))
+            .normalPair()[1];
+    });
+    EXPECT_NEAR(mean1, 0.0, 0.02);
+    EXPECT_NEAR(var1, 1.0, 0.03);
+}
+
+TEST(RngStatistics, KeyedExponentialsHaveUnitMean)
+{
+    const CounterRng noise(0x5eed);
+    const auto [mean, var] = moments(100000, [&](int i) {
+        return noise.cell(2, static_cast<std::uint64_t>(i))
+            .exponential();
+    });
+    EXPECT_NEAR(mean, 1.0, 0.02);
+    EXPECT_NEAR(var, 1.0, 0.05);
+}
+
+TEST(RngStatistics, StreamDrawsMatchTheirDistributions)
+{
+    Rng rng(0x5eed);
+    const auto [g_mean, g_var] =
+        moments(100000, [&](int) { return rng.gaussian(2.0, 3.0); });
+    EXPECT_NEAR(g_mean, 2.0, 0.06);
+    EXPECT_NEAR(g_var, 9.0, 0.27);
+    const auto [u_mean, u_var] =
+        moments(100000, [&](int) { return rng.uniform(-1.0, 1.0); });
+    EXPECT_NEAR(u_mean, 0.0, 0.02);
+    EXPECT_NEAR(u_var, 1.0 / 3.0, 0.01);
+
+    // Lemire bounded integers: each of 10 buckets within 5 sigma.
+    std::vector<int> counts(10, 0);
+    for (int i = 0; i < 100000; ++i)
+        ++counts[rng.index(10)];
+    for (const int c : counts)
+        EXPECT_NEAR(c, 10000, 500);
 }
 
 TEST(Rng, PickReturnsElementFromSpan)

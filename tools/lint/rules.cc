@@ -119,11 +119,31 @@ const std::set<std::string, std::less<>> kClockIdents = {
 const std::set<std::string, std::less<>> kRandomIdents = {
     "rand", "srand", "random_device", "rand_r", "drand48"};
 
+// Every <random> distribution adaptor. The engines' output sequences
+// are fixed by the standard; the algorithms these turn engine words
+// into variates with are implementation-defined, so the same seed
+// gives different draws under libstdc++, libc++ and MSVC.
+const std::set<std::string, std::less<>> kStdDistributions = {
+    "uniform_int_distribution", "uniform_real_distribution",
+    "bernoulli_distribution", "binomial_distribution",
+    "geometric_distribution", "negative_binomial_distribution",
+    "poisson_distribution", "exponential_distribution",
+    "gamma_distribution", "weibull_distribution",
+    "extreme_value_distribution", "normal_distribution",
+    "lognormal_distribution", "chi_squared_distribution",
+    "cauchy_distribution", "fisher_f_distribution",
+    "student_t_distribution", "discrete_distribution",
+    "piecewise_constant_distribution",
+    "piecewise_linear_distribution"};
+
 /**
  * R1: nondeterministic sources. Wall clocks, libc randomness,
  * std::random_device and getenv taint any value derived from them
- * with run-to-run variation. All randomness must flow through the
- * seeded util/rng.h streams; clocks are allowed only at annotated
+ * with run-to-run variation, and std::*_distribution adaptors with
+ * host-to-host variation. All randomness must flow through the
+ * seeded util/rng.h streams, whose own draw algorithms are the only
+ * ones used — so the distribution ban has no util/rng.h exemption.
+ * Clocks are allowed only at annotated
  * timing-stats sites (values that feed wall-time accounting, never
  * fitness); getenv only at annotated env-config sites (operational
  * knobs such as thread counts that the determinism tests prove
@@ -136,9 +156,8 @@ void
 ruleR1(std::string_view path, const SourceScan &scan,
        std::vector<Finding> &findings)
 {
-    if (pathEndsWith(path, "src/util/rng.h")
-        || pathEndsWith(path, "util/rng.h"))
-        return;
+    const bool rng_home = pathEndsWith(path, "src/util/rng.h")
+        || pathEndsWith(path, "util/rng.h");
     // util/metrics.h is the sanctioned home for wall/CPU clock reads
     // (observability only), exactly as util/rng.h is for randomness.
     // The exemption is clock-scoped: randomness and environment
@@ -158,6 +177,17 @@ ruleR1(std::string_view path, const SourceScan &scan,
     const RuleTags random_rule{"R1", {"r1"}};
     for (const Token &tok : scan.tokens) {
         if (tok.kind != TokKind::Identifier)
+            continue;
+        if (kStdDistributions.count(tok.text)) {
+            emit(findings, scan, random_rule, path, tok.line,
+                 "implementation-defined distribution `" + tok.text
+                     + "`; the same seed draws differently under "
+                       "another standard library — use the "
+                       "emstress::Rng / CounterRng draws "
+                       "(src/util/rng.h)");
+            continue;
+        }
+        if (rng_home)
             continue;
         if (kClockIdents.count(tok.text)) {
             if (metrics_home || service_clock_home)
