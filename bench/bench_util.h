@@ -236,7 +236,10 @@ budgetDescription(const core::VirusSearchConfig &cfg)
        << ":sa" << cfg.eval.sa_samples
        << ":f" << cfg.eval.f_lo_hz << '-' << cfg.eval.f_hi_hz
        << ":cores" << cfg.eval.active_cores
-       << ":stream" << (cfg.eval.streaming ? 1 : 0)
+       // Literal: the retired streaming/batch switch. Both paths gave
+       // bit-identical results, so keeping the token keeps every
+       // cached virus's fingerprint, and the cache keeps hitting.
+       << ":stream1"
        << "|metric:" << core::virusMetricName(cfg.metric)
        << "|noise:v" << kNoiseModelVersion;
     return os.str();

@@ -7,10 +7,9 @@
 #include "circuit/transient.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <string_view>
 
 #include "util/error.h"
+#include "util/hotpath.h"
 #include "util/metrics.h"
 
 namespace emstress {
@@ -18,27 +17,7 @@ namespace circuit {
 
 namespace {
 
-/**
- * Resolve TransientMethod::Auto. The environment knob is an
- * operational escape hatch for parity debugging and A/B timing; the
- * two paths it selects between agree only to kStateUpdateParityTol
- * (documented in DESIGN.md §12 and pinned by
- * tests/test_transient_parity.cc), which is why the annotation below
- * is `parity-tolerance` rather than the result-neutral `env-config`.
- */
-TransientMethod
-resolveMethod(TransientMethod method)
-{
-    if (method != TransientMethod::Auto)
-        return method;
-    const char *env =
-        std::getenv("EMSTRESS_TRANSIENT_PATH"); // lint: parity-tolerance
-    if (env != nullptr && std::string_view(env) == "lu")
-        return TransientMethod::ReferenceLu;
-    return TransientMethod::FastState;
-}
-
-/** Counter credited per advanced step for a resolved method. */
+/** Counter credited per advanced step on a step path. */
 const char *
 solveCounterFor(TransientMethod method)
 {
@@ -51,9 +30,9 @@ solveCounterFor(TransientMethod method)
  * Column-by-column (axpy-order) dense mat-vec: out = m · z with m
  * column-major rows x cols, cols a multiple of 4. Four columns per
  * sweep, each output element summed strictly left-to-right within a
- * sweep — the same fixed association as stateUpdateStep, shared by
- * every caller so blocked and per-step emission of the same algebra
- * agree element-for-element. Cloned per ISA width (lanes are
+ * sweep — one fixed association shared by every caller, so blocked
+ * and per-step emission of the same algebra agree
+ * element-for-element. Cloned per ISA width (lanes are
  * independent rows; see util/hotpath.h).
  */
 EMSTRESS_TARGET_CLONES void
@@ -90,7 +69,7 @@ TransientResult::trace(const std::string &label) const
 
 TransientAnalysis::TransientAnalysis(const Netlist &netlist, double dt,
                                      TransientMethod method)
-    : dt_(dt), mna_(netlist), method_(resolveMethod(method)),
+    : dt_(dt), mna_(netlist), method_(method),
       rhs_mult_(mna_.size(), mna_.size())
 {
     requireConfig(dt > 0.0, "transient dt must be positive");
@@ -147,15 +126,19 @@ TransientAnalysis::buildStateUpdate()
 {
     const std::size_t n = mna_.size();
     const std::size_t n_src = mna_.currentSourceNames().size();
+    constexpr std::size_t k = kStreamBlock;
     xpad_ = (n + 3) & ~std::size_t{3};
-    inow_off_ = xpad_;
-    iprev_off_ = xpad_ + n_src;
-    one_idx_ = xpad_ + 2 * n_src;
-    cols_ = (one_idx_ + 1 + 3) & ~std::size_t{3};
-    mt_.assign(cols_ * xpad_, 0.0);
-    const auto column = [this](std::size_t c) {
-        return mt_.data() + c * xpad_;
+    const std::size_t one_col = xpad_ + n_src;
+    q_ = (one_col + 1 + 3) & ~std::size_t{3};
+    // T's x-rows, column-major xpad_ x q_. Its u_prev rows are zero
+    // (the input B replaces them each step) and its 1-row is e_one,
+    // which the power recurrences below use implicitly.
+    std::vector<double> t(q_ * xpad_, 0.0);
+    const auto column = [&t, this](std::size_t c) {
+        return t.data() + c * xpad_;
     };
+    // G_0 = B's x-rows: the u injection images, xpad_ x n_src.
+    gpow_.assign(k * n_src * xpad_, 0.0);
 
     // A = lhs⁻¹ · rhs_mult, one LU solve per column. The factored
     // solver is bit-identical to the reference path's, so A holds
@@ -176,12 +159,12 @@ TransientAnalysis::buildStateUpdate()
     //   rhs_r = [alg] s_now_r + [dyn] 0.5 (s_prev_r + s_now_r)
     // with s = s_vs + Σ_j i_j e_j, so folding through lhs⁻¹:
     //   const column  = lhs⁻¹ s_vs        (both halves sum to 1)
-    //   i_now column  = lhs⁻¹ ([alg] + 0.5 [dyn]) e_j
-    //   i_prev column = lhs⁻¹ (0.5 [dyn]) e_j
+    //   u column      = lhs⁻¹ ([alg] + 0.5 [dyn]) e_j
+    //   u_prev column = lhs⁻¹ (0.5 [dyn]) e_j
     std::vector<double> src_vals(n_src, 0.0);
     const std::vector<double> s_vs = mna_.sourceVector(src_vals);
     const std::vector<double> s_const = lhs_->solve(s_vs);
-    std::copy(s_const.begin(), s_const.end(), column(one_idx_));
+    std::copy(s_const.begin(), s_const.end(), column(one_col));
     std::vector<double> w(n);
     for (std::size_t j = 0; j < n_src; ++j) {
         src_vals[j] = 1.0;
@@ -194,38 +177,15 @@ TransientAnalysis::buildStateUpdate()
             w[r] = algebraic_row_[r] ? e : 0.5 * e;
         }
         lhs_->solveInto(w, sol);
-        std::copy(sol.begin(), sol.end(), column(inow_off_ + j));
+        std::copy(sol.begin(), sol.end(),
+                  gpow_.begin()
+                      + static_cast<std::ptrdiff_t>(j * xpad_));
         for (std::size_t r = 0; r < n; ++r)
             w[r] = algebraic_row_[r] ? 0.0
                                      : 0.5 * (s_j[r] - s_vs[r]);
         lhs_->solveInto(w, sol);
-        std::copy(sol.begin(), sol.end(), column(iprev_off_ + j));
+        std::copy(sol.begin(), sol.end(), column(xpad_ + j));
     }
-
-    // Blocked-stream tables over the compact LTI form
-    // S = [x | u_prev | 1 | zero padding] (the i_now slots of the
-    // augmented form become the explicit input u, everything else
-    // keeps its role). T's x-rows come from M: state columns
-    // verbatim, u_prev columns from the i_prev images, the constant
-    // column from the voltage-source image. T's u_prev rows are zero
-    // (the input B replaces them each step) and its 1-row is e_one,
-    // which the power recurrences below use implicitly.
-    constexpr std::size_t k = kStreamBlock;
-    const std::size_t one_col = xpad_ + n_src;
-    q_ = (one_col + 1 + 3) & ~std::size_t{3};
-    std::vector<double> t(q_ * xpad_, 0.0);
-    for (std::size_t c = 0; c < xpad_; ++c)
-        std::copy(column(c), column(c) + xpad_,
-                  t.begin() + static_cast<std::ptrdiff_t>(c * xpad_));
-    for (std::size_t s = 0; s < n_src; ++s)
-        std::copy(column(iprev_off_ + s),
-                  column(iprev_off_ + s) + xpad_,
-                  t.begin()
-                      + static_cast<std::ptrdiff_t>((xpad_ + s)
-                                                    * xpad_));
-    std::copy(column(one_idx_), column(one_idx_) + xpad_,
-              t.begin()
-                  + static_cast<std::ptrdiff_t>(one_col * xpad_));
 
     // Powers T^j, j = 1..k (x-rows only; u_prev rows of any power
     // are zero and the 1-row stays e_one):
@@ -250,14 +210,9 @@ TransientAnalysis::buildStateUpdate()
         }
     }
 
-    // Input images G_m = T^m B (x-rows). G_0 = B's x-rows = the
-    // i_now injection columns; the m = 1 step also picks up B's
-    // u_prev identity rows through T's u_prev columns.
-    gpow_.assign(k * n_src * xpad_, 0.0);
-    for (std::size_t s = 0; s < n_src; ++s)
-        std::copy(column(inow_off_ + s), column(inow_off_ + s) + xpad_,
-                  gpow_.begin()
-                      + static_cast<std::ptrdiff_t>(s * xpad_));
+    // Input images G_m = T^m B (x-rows), from G_0 above; the m = 1
+    // step also picks up B's u_prev identity rows through T's u_prev
+    // columns.
     for (std::size_t m = 1; m < k; ++m) {
         const double *prev = gpow_.data() + (m - 1) * n_src * xpad_;
         double *next = gpow_.data() + m * n_src * xpad_;
@@ -276,49 +231,22 @@ TransientAnalysis::buildStateUpdate()
     }
 }
 
-EMSTRESS_TARGET_CLONES void
-TransientAnalysis::stateUpdateStep(double *aug,
-                                   std::span<const double> i_now,
-                                   double *aug_next) const
+void
+TransientAnalysis::compactStep(const double *s, const double *u,
+                               double *s_next) const
 {
-    const std::size_t xpad = xpad_;
-    const std::size_t n_src = i_now.size();
-    double *slot = aug + inow_off_;
-    for (std::size_t j = 0; j < n_src; ++j)
-        slot[j] = i_now[j];
-
-    // Column-by-column (axpy-order) mat-vec over the augmented
-    // state: each output element is summed strictly left-to-right,
-    // four columns per sweep, so the accumulation order is fixed —
-    // bit-identical run-to-run and across thread counts — while the
-    // elements stay independent and vectorize to full SIMD lanes.
-    // Only *versus the reference path* do results differ, to within
-    // the documented parity tolerances.
-    const double *__restrict m = mt_.data();
-    const double *__restrict z = aug;
-    double *__restrict out = aug_next;
-    for (std::size_t r = 0; r < xpad; ++r)
-        out[r] = 0.0;
-    for (std::size_t c = 0; c < cols_; c += 4) {
-        const double v0 = z[c];
-        const double v1 = z[c + 1];
-        const double v2 = z[c + 2];
-        const double v3 = z[c + 3];
-        const double *__restrict m0 = m + c * xpad;
-        const double *__restrict m1 = m0 + xpad;
-        const double *__restrict m2 = m1 + xpad;
-        const double *__restrict m3 = m2 + xpad;
-        for (std::size_t r = 0; r < xpad; ++r)
-            out[r] = ((out[r] + m0[r] * v0) + m1[r] * v1)
-                + (m2[r] * v2 + m3[r] * v3);
+    const std::size_t n_src = mna_.currentSourceNames().size();
+    matVecAxpy(tpow_.data(), s, s_next, xpad_, q_);
+    for (std::size_t j = 0; j < n_src; ++j) {
+        const double coef = u[j];
+        const double *__restrict col = gpow_.data() + j * xpad_;
+        double *__restrict out = s_next;
+        for (std::size_t r = 0; r < xpad_; ++r)
+            out[r] += col[r] * coef;
     }
-
-    // This step's sources become the swapped buffer's history; its
-    // constant-1 and padding slots were set at initialization and
-    // are never written past.
-    double *hist = aug_next + iprev_off_;
     for (std::size_t j = 0; j < n_src; ++j)
-        hist[j] = slot[j];
+        s_next[xpad_ + j] = u[j];
+    s_next[xpad_ + n_src] = 1.0;
 }
 
 TransientResult
@@ -444,43 +372,54 @@ TransientAnalysis::makeStepper(
     return TransientStepper(*this, bias_currents, initial_currents);
 }
 
-TransientStepper::TransientStepper(
-    const TransientAnalysis &engine,
+std::vector<double>
+TransientAnalysis::initialState(
     std::span<const double> bias_currents,
-    std::span<const double> initial_currents)
-    : engine_(engine)
+    std::span<const double> initial_currents) const
 {
-    const auto &mna = engine.mna_;
     // Single convention, mirroring run(): the DC point comes from
     // the bias (falling back to the initial values, then netlist DC
     // values); the trapezoidal source history starts at the initial
     // values (falling back to bias, then DC values).
     const std::span<const double> dc_at =
         bias_currents.empty() ? initial_currents : bias_currents;
-    const std::span<const double> initial =
-        initial_currents.empty() ? bias_currents : initial_currents;
     std::vector<double> x0;
     {
-        Matrix<double> a = mna.g();
+        Matrix<double> a = mna_.g();
         LuSolver<double> lu(std::move(a));
-        x0 = lu.solve(mna.sourceVector(dc_at));
+        x0 = lu.solve(mna_.sourceVector(dc_at));
     }
+    if (method_ != TransientMethod::FastState)
+        return x0;
 
+    // Compact state S = [x | u_prev | 1 | zero padding].
+    const std::span<const double> initial =
+        initial_currents.empty() ? bias_currents : initial_currents;
+    const std::span<const double> i0 = initial.empty()
+        ? std::span<const double>(mna_.currentSourceDcValues())
+        : initial;
+    std::vector<double> s(q_, 0.0);
+    std::copy(x0.begin(), x0.end(), s.begin());
+    std::copy(i0.begin(), i0.end(),
+              s.begin() + static_cast<std::ptrdiff_t>(xpad_));
+    s[xpad_ + mna_.currentSourceNames().size()] = 1.0;
+    return s;
+}
+
+TransientStepper::TransientStepper(
+    const TransientAnalysis &engine,
+    std::span<const double> bias_currents,
+    std::span<const double> initial_currents)
+    : engine_(engine),
+      x_(engine.initialState(bias_currents, initial_currents))
+{
     if (engine.method_ == TransientMethod::FastState) {
-        x_.assign(engine.cols_, 0.0);
-        std::copy(x0.begin(), x0.end(), x_.begin());
-        const std::span<const double> i0 = initial.empty()
-            ? std::span<const double>(mna.currentSourceDcValues())
-            : initial;
-        std::copy(i0.begin(), i0.end(),
-                  x_.begin() + static_cast<std::ptrdiff_t>(
-                      engine.iprev_off_));
-        x_[engine.one_idx_] = 1.0;
-        x_next_.assign(engine.cols_, 0.0);
-        x_next_[engine.one_idx_] = 1.0;
+        x_next_.assign(x_.size(), 0.0);
     } else {
-        x_ = std::move(x0);
-        s_prev_ = mna.sourceVector(initial);
+        const auto &mna = engine.mna_;
+        s_prev_ = mna.sourceVector(initial_currents.empty()
+                                       ? bias_currents
+                                       : initial_currents);
         rhs_.resize(mna.size());
     }
 }
@@ -521,7 +460,8 @@ TransientStepper::step(std::span<const double> currents)
             currents.size()
                 == engine_.mna_.currentSourceNames().size(),
             "stepper: wrong number of current-source values");
-        engine_.stateUpdateStep(x_.data(), currents, x_next_.data());
+        engine_.compactStep(x_.data(), currents.data(),
+                            x_next_.data());
         x_.swap(x_next_);
     } else {
         const std::size_t n = engine_.mna_.size();
@@ -581,7 +521,6 @@ TransientBlockStepper::TransientBlockStepper(
     for (const std::size_t p : probes_)
         requireConfig(p < n, "block stepper probe index out of range");
     q_ = engine.q_;
-    const std::size_t one_col = xpad_ + n_src_;
 
     // W: the probe rows of every engine transition power stacked, so
     // one mat-vec against S yields all of a block's probe outputs at
@@ -609,28 +548,8 @@ TransientBlockStepper::TransientBlockStepper(
                         engine.gpow_[(j - 1 - m) * n_src_ * xpad_
                                      + s * xpad_ + probes_[p]]);
 
-    // Initial state, mirroring TransientStepper exactly: DC point at
-    // the bias (falling back to initial, then netlist DC values),
-    // source history from the initial values.
-    const std::span<const double> dc_at =
-        bias_currents.empty() ? initial_currents : bias_currents;
-    const std::span<const double> initial =
-        initial_currents.empty() ? bias_currents : initial_currents;
-    std::vector<double> x0;
-    {
-        Matrix<double> a = engine.mna_.g();
-        LuSolver<double> lu(std::move(a));
-        x0 = lu.solve(engine.mna_.sourceVector(dc_at));
-    }
-    s_.assign(q_, 0.0);
-    std::copy(x0.begin(), x0.end(), s_.begin());
-    const std::span<const double> i0 = initial.empty()
-        ? std::span<const double>(
-              engine.mna_.currentSourceDcValues())
-        : initial;
-    std::copy(i0.begin(), i0.end(),
-              s_.begin() + static_cast<std::ptrdiff_t>(xpad_));
-    s_[one_col] = 1.0;
+    // Initial state: the engine's single stepper convention.
+    s_ = engine.initialState(bias_currents, initial_currents);
     s_next_.assign(q_, 0.0);
 }
 
@@ -715,22 +634,11 @@ TransientBlockStepper::stepBlock(const double *currents,
         s_.swap(s_next_);
         ++pending_blocks_;
     } else {
-        // Stream tail: plain per-step updates against T and G_0,
+        // Stream tail: the engine's single step against T and G_0,
         // probes read straight from the advanced state.
         for (std::size_t c = 0; c < count; ++c) {
-            matVecAxpy(engine_.tpow_.data(), s_.data(),
-                       s_next_.data(), xpad_, q_);
-            for (std::size_t s = 0; s < n_src_; ++s) {
-                const double coef = currents[c * n_src_ + s];
-                const double *__restrict col =
-                    engine_.gpow_.data() + s * xpad_;
-                double *__restrict out = s_next_.data();
-                for (std::size_t r = 0; r < xpad_; ++r)
-                    out[r] += col[r] * coef;
-            }
-            for (std::size_t s = 0; s < n_src_; ++s)
-                s_next_[xpad_ + s] = currents[c * n_src_ + s];
-            s_next_[one_col] = 1.0;
+            engine_.compactStep(s_.data(), currents + c * n_src_,
+                                s_next_.data());
             s_.swap(s_next_);
             for (std::size_t p = 0; p < np_; ++p)
                 probe_out[c * np_ + p] = s_[probes_[p]];

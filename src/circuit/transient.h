@@ -14,34 +14,36 @@
  *    fixed-topology *LTI* system on a fixed timestep, so the whole
  *    per-step linear solve is precomputable. At construction the
  *    engine forms the dense state-update `A = lhs⁻¹ · rhs_mult` and
- *    the per-source injection vectors once per (netlist, dt), folded
- *    into one column-major matrix over the augmented state
- *    [x | i_now | i_prev | 1]; each step is then a single dense
- *    mat-vec accumulated column-by-column (axpy order), which the
- *    vectorizer can keep in full SIMD lanes without reassociating
- *    any per-element sum — allocation-free and branch-free.
- *    Open-loop executions (run() and the PDN streaming sinks)
- *    further fold kStreamBlock steps into precomputed transition
- *    powers (TransientBlockStepper), reading probes through stacked
- *    power rows — roughly a 3x flop cut on PDN-sized systems over
- *    stepping the full augmented mat-vec every sample.
+ *    the per-source injection images once per (netlist, dt), as the
+ *    compact linear-time-invariant form S' = T S + B u over the state
+ *    S = [x | u_prev | 1]. A single step is one column-major T · S
+ *    mat-vec plus one injection axpy per source, accumulated in a
+ *    fixed column order (axpy order), which the vectorizer keeps in
+ *    full SIMD lanes without reassociating any per-element sum —
+ *    allocation-free and branch-free. Open-loop executions (run() and
+ *    the PDN streaming sinks) further fold kStreamBlock steps into
+ *    precomputed transition powers (TransientBlockStepper), reading
+ *    probes through stacked power rows — roughly a 3x flop cut on
+ *    PDN-sized systems over stepping every sample; the closed-loop
+ *    TransientStepper takes the block stepper's own single step.
  *  - TransientMethod::ReferenceLu: the original per-step LU
- *    forward/back substitution. Algebraically identical, kept as the
- *    reference implementation for parity testing and debugging.
+ *    forward/back substitution, selected only by an explicit
+ *    constructor argument. Algebraically identical, kept as the test
+ *    oracle for the fast path.
  *    Known limitation: at extreme stiffness ratios (element C/dt some
  *    seven decades above the conductances, e.g. the PDN's 1 mF bulk
  *    capacitor at dt = 1e-10) the per-step substitution's rounding
  *    feeds a slowly growing mode (~e^(1e-4 per step), measured),
  *    while the precomputed state-update stays contractive —
  *    tests/test_transient_parity.cc pins the fast path's boundedness
- *    there. Use the reference path at production stiffness only.
+ *    there.
  *
  * The fast path reassociates floating-point operations, so the two
  * paths agree only to kStateUpdateParityTol (not bit-exactly); the
- * contract is pinned by tests/test_transient_parity.cc. Whichever
- * path is active, results are bit-identical run-to-run and across
- * thread counts: the step arithmetic is sequential and the operation
- * order is fixed.
+ * contract is pinned by tests/test_transient_parity.cc. On either
+ * path, results are bit-identical run-to-run and across thread
+ * counts: the step arithmetic is sequential and the operation order
+ * is fixed.
  *
  * Known limitation (trapezoidal's ρ(∞) = 1, i.e. "trapezoidal
  * ringing"): source discontinuities can leave a *bounded*,
@@ -65,7 +67,6 @@
 
 #include "circuit/mna.h"
 #include "circuit/netlist.h"
-#include "util/hotpath.h"
 #include "util/trace.h"
 
 namespace emstress {
@@ -106,12 +107,9 @@ struct TransientResult
 /** Which step implementation a TransientAnalysis uses. */
 enum class TransientMethod
 {
-    /// FastState unless EMSTRESS_TRANSIENT_PATH=lu requests the
-    /// reference path for the whole process.
-    Auto,
     /// Precomputed dense state-update (default; fast).
     FastState,
-    /// Per-step LU substitution (reference implementation).
+    /// Per-step LU substitution (the tests' reference oracle).
     ReferenceLu,
 };
 
@@ -142,10 +140,11 @@ inline constexpr std::size_t kParityShortSteps = 100;
 
 /**
  * Agreement contract between the blocked stream stepper
- * (TransientBlockStepper) and the per-step fast path, pinned by
- * tests/test_transient_parity.cc: both advance the same precomputed
- * update, but the blocked form folds kStreamBlock steps into powers
- * of the transition matrix, so its rounding differs in the low bits.
+ * (TransientBlockStepper) on full blocks and the per-step fast path,
+ * pinned by tests/test_transient_parity.cc: both advance the same
+ * precomputed update, but a full block folds kStreamBlock steps into
+ * powers of the transition matrix, so its rounding differs in the
+ * low bits.
  * As with the LU-parity contract, weakly damped modes integrate the
  * per-step rounding difference: measured divergence on the stiff
  * production PDN reaches ~1e-8 relative within a few thousand
@@ -178,11 +177,12 @@ class TransientAnalysis
      * Prepare the engine.
      * @param netlist Circuit to simulate (copied into the MNA form).
      * @param dt      Fixed timestep in seconds.
-     * @param method  Step implementation; Auto resolves to FastState
-     *                unless EMSTRESS_TRANSIENT_PATH=lu.
+     * @param method  Step implementation; ReferenceLu is the tests'
+     *                oracle.
      */
     TransientAnalysis(const Netlist &netlist, double dt,
-                      TransientMethod method = TransientMethod::Auto);
+                      TransientMethod method
+                      = TransientMethod::FastState);
 
     ~TransientAnalysis();
     TransientAnalysis(TransientAnalysis &&) noexcept;
@@ -194,7 +194,7 @@ class TransientAnalysis
     /** The underlying MNA system (for index queries). */
     const MnaSystem &mna() const { return mna_; }
 
-    /** Resolved step implementation (never Auto). */
+    /** Step implementation. */
     TransientMethod method() const { return method_; }
 
     /**
@@ -235,7 +235,10 @@ class TransientAnalysis
      * the fast path run() executes the same algebra in kStreamBlock
      * folds (see makeBlockStepper), so a per-step stepper agrees
      * with it to kBlockedStreamParityTol while a block stepper fed
-     * run()'s block boundaries replays it bit-exactly.
+     * run()'s block boundaries replays it bit-exactly. A fast-path
+     * stepper takes exactly the block stepper's single-step update,
+     * so it replays a block stepper advanced one step at a time
+     * bit-exactly.
      *
      * @param bias_currents    Current-source values for the initial
      *        DC operating point.
@@ -256,7 +259,7 @@ class TransientAnalysis
      * dots instead of kStreamBlock full mat-vecs.
      *
      * Initial-state convention is identical to makeStepper (same
-     * bias/initial fallbacks). Results agree with a per-step
+     * bias/initial fallbacks). Full blocks agree with a per-step
      * TransientStepper to kBlockedStreamParityTol (not bitwise: the
      * matrix powers reassociate the same algebra), and are
      * bit-identical run-to-run and across thread counts. run()'s
@@ -276,25 +279,29 @@ class TransientAnalysis
 
   private:
     /**
-     * Advance one step of the precomputed state-update. `aug` and
-     * `aug_next` are distinct augmented-state buffers of cols_
-     * doubles (see mt_): this call writes `i_now` into aug's i_now
-     * slots, computes aug_next[0..xpad_) = M · aug, and copies the
-     * i_now slots into aug_next's i_prev slots so the swapped buffer
-     * carries the correct source history. The constant-1 and padding
-     * slots are never touched after initialization.
-     *
-     * The accumulation order is fixed — four columns per sweep, each
-     * element summed strictly left-to-right within a sweep — so
-     * results are bit-identical run-to-run and across thread counts.
-     * Cloned per ISA width (vector lanes are independent rows, so
-     * every clone is bit-identical; see util/hotpath.h).
+     * One fast-path step over the compact state: `s_next` =
+     * T · `s` + G_0 · `u`, with `u` (n_src values) moved into the
+     * u_prev slots and the constant slot set to 1. `s` and `s_next`
+     * are distinct buffers of q_ doubles. The accumulation order is
+     * fixed — the T columns four per sweep, then one injection axpy
+     * per source in source order — so results are bit-identical
+     * run-to-run and across thread counts. Shared by the per-step
+     * TransientStepper and the block stepper's tail.
      */
-    EMSTRESS_TARGET_CLONES void stateUpdateStep(
-        double *aug, std::span<const double> i_now,
-        double *aug_next) const;
+    void compactStep(const double *s, const double *u,
+                     double *s_next) const;
 
-    /** Precompute the augmented state-update matrix mt_. */
+    /**
+     * A stepper's initial state under the single (bias, initial)
+     * convention documented at makeStepper: the DC point x0 on the
+     * reference path, the compact state [x0 | u_prev | 1 | padding]
+     * on the fast path.
+     */
+    std::vector<double> initialState(
+        std::span<const double> bias_currents,
+        std::span<const double> initial_currents) const;
+
+    /** Precompute the compact fast-path tables tpow_ and gpow_. */
     void buildStateUpdate();
 
     double dt_;
@@ -309,29 +316,19 @@ class TransientAnalysis
     /// True for rows with no storage entries (pure constraints).
     std::vector<bool> algebraic_row_;
 
-    /// @{ FastState precomputation: augmented-state form. The state
-    /// is embedded in an augmented vector
-    ///   z = [x (xpad_ slots) | i_now | i_prev | 1 | zero padding]
-    /// of cols_ slots, and a single column-major matrix M folds the
-    /// state transition A = lhs⁻¹ · rhs_mult, both per-source
-    /// trapezoidal injection images and the constant voltage-source
-    /// image, so one mat-vec x_next = M · z advances the step.
-    /// Zero rows/columns pad every loop to whole 4-wide sweeps.
-    std::size_t xpad_ = 0;      ///< mna size rounded up to 4.
-    std::size_t cols_ = 0;      ///< Augmented width, multiple of 4.
-    std::size_t inow_off_ = 0;  ///< z-slot of the first i_now entry.
-    std::size_t iprev_off_ = 0; ///< z-slot of the first i_prev entry.
-    std::size_t one_idx_ = 0;   ///< z-slot holding the constant 1.
-    std::vector<double> mt_;    ///< Column-major M, cols_ x xpad_.
-    /// Blocked-stream tables over the compact LTI form
-    ///   S = [x | u_prev | 1 | zero padding]
+    /// @{ FastState precomputation over the compact LTI form
+    ///   S = [x (xpad_ slots) | u_prev | 1 | zero padding]
     /// of width q_ (multiple of 4): the x-rows of the transition
     /// powers T^j for j = 1..kStreamBlock (column-major xpad_ x q_
     /// blocks, concatenated) and of the input images G_m = T^m B
-    /// (xpad_ x n_src blocks, concatenated). Built once per engine
-    /// alongside mt_; shared by run() and every
-    /// TransientBlockStepper, which is what keeps batch and stream
-    /// executions of one engine bit-identical.
+    /// (xpad_ x n_src blocks, concatenated). T folds the state
+    /// transition A = lhs⁻¹ · rhs_mult, the trapezoidal u_prev images
+    /// and the constant voltage-source image; G_0 holds the u images.
+    /// Zero rows/columns pad every loop to whole 4-wide sweeps. Built
+    /// once per engine; shared by run() and every stepper, which is
+    /// what keeps batch and stream executions of one engine
+    /// bit-identical.
+    std::size_t xpad_ = 0; ///< mna size rounded up to 4.
     std::size_t q_ = 0;
     std::vector<double> tpow_;
     std::vector<double> gpow_;
@@ -384,9 +381,9 @@ class TransientStepper
                      std::span<const double> initial_currents);
 
     const TransientAnalysis &engine_;
-    /// State vector: the augmented-state buffer on the fast path
-    /// (x in slots [0, n), then i_now/i_prev/1), plain length-n
-    /// state on the reference path.
+    /// State vector: the compact state S on the fast path (x in
+    /// slots [0, n), then u_prev/1), plain length-n state on the
+    /// reference path.
     std::vector<double> x_;
     /// FastState double buffer, swapped with x_ each step.
     std::vector<double> x_next_;
@@ -416,7 +413,8 @@ class TransientStepper
  * mat-vec plus k short input axpys (the state), and a triangle of
  * scalar corrections — ~3x fewer flops than k single steps at the
  * production PDN's size. Partial blocks (the stream tail) fall back
- * to per-step T·S updates with probes read straight from the state.
+ * to the engine's single step (the one TransientStepper takes), with
+ * probes read straight from the state.
  *
  * Every loop has a fixed accumulation order with vector lanes
  * carrying independent rows, so results are bit-identical

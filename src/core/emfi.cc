@@ -57,12 +57,8 @@ runEmfiPulse(platform::Platform &plat, const EmfiCampaignSpec &spec,
 
     PulseArmGuard guard(plat);
     plat.armPulse(pulse);
-    const platform::PlatformRunResult run =
-        spec.eval.streaming
-            ? plat.runKernel(spec.victim, spec.eval.duration_s,
-                             spec.eval.active_cores)
-            : plat.runKernelBatch(spec.victim, spec.eval.duration_s,
-                                  spec.eval.active_cores);
+    const platform::PlatformRunResult run = plat.runKernel(
+        spec.victim, spec.eval.duration_s, spec.eval.active_cores);
 
     const vmin::FaultEffectsModel model(spec.effects);
     EmfiRunOutcome outcome;

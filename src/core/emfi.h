@@ -37,7 +37,7 @@ struct EmfiCampaignSpec
 {
     isa::Kernel victim;          ///< Victim loop body.
     std::size_t target_slot = 0; ///< Victim instruction to fault.
-    EvalSettings eval;           ///< Run window / streaming toggle.
+    EvalSettings eval;           ///< Run window and active cores.
     vmin::FaultEffectsParams effects; ///< ISA fault model.
     ga::PulseGrid grid;          ///< Pulse search space.
 };
@@ -56,9 +56,9 @@ struct EmfiRunOutcome
 
 /**
  * Fire one pulse: arm it on the platform, run the victim kernel
- * (streaming or batch per spec.eval.streaming — bit-identical), run
- * the fault-effects analysis against the armed pulse, and restore
- * the platform's previous arm state (exception-safe).
+ * (Platform::runKernel, which streams into trace sinks), run the
+ * fault-effects analysis against the armed pulse, and restore the
+ * platform's previous arm state (exception-safe).
  */
 EmfiRunOutcome runEmfiPulse(platform::Platform &plat,
                             const EmfiCampaignSpec &spec,

@@ -15,11 +15,19 @@
  * evaluation bit-identical to the serial path. They are also
  * *cloneable*: clone() replicates the bound platform so each worker
  * thread simulates on its own PDN engine and instruments.
+ *
+ * Every evaluator measures one way: it streams the run
+ * (Platform::streamKernel) straight into its instrument sink — a
+ * Goertzel band detector for the EM metric, the scope front end for
+ * the voltage metrics — so no full-rate waveform is ever buffered.
+ * The batch-trace path (Platform::runKernelBatch) survives only as
+ * the tests' oracle, which keys its noise with the same salts below.
  */
 
 #ifndef EMSTRESS_CORE_FITNESS_H
 #define EMSTRESS_CORE_FITNESS_H
 
+#include <functional>
 #include <memory>
 #include <string>
 
@@ -43,11 +51,15 @@ struct EvalSettings
     double f_hi_hz = mega(200.0);       ///< EM search band end.
     std::size_t sa_samples = 30;  ///< Spectrum samples per individual.
     std::size_t active_cores = 0; ///< 0 = all powered cores.
-    bool streaming = true;        ///< Stream samples into the
-                                  ///< instruments (O(1) memory in
-                                  ///< duration); false replays the
-                                  ///< batch-trace oracle path.
 };
+
+/// @{ Per-metric noise salts: the same kernel measured through
+/// different instruments must not see correlated noise. Public so an
+/// oracle evaluator can key its noise identically.
+inline constexpr std::uint64_t kEmNoiseSalt = 0x454d5f414d504cull;
+inline constexpr std::uint64_t kDroopNoiseSalt = 0x44524f4f50ull;
+inline constexpr std::uint64_t kP2pNoiseSalt = 0x5032505full;
+/// @}
 
 /**
  * Common base of the platform-bound evaluators: holds the platform
@@ -120,8 +132,7 @@ class PlatformFitness : public ga::FitnessEvaluator
      * Where the sample stream of (key, attempt) truncates: an index
      * in [0, n) when a TruncatedStream fault is scheduled (drawn
      * uniformly from the schedule's parameter stream), n when the
-     * stream completes. The caller wraps its instrument sink in a
-     * TruncatingSink when the cutoff lands inside the stream.
+     * stream completes.
      */
     std::size_t
     truncationCutoff(std::uint64_t key, std::uint32_t attempt,
@@ -137,6 +148,37 @@ class PlatformFitness : public ga::FitnessEvaluator
         return static_cast<std::size_t>(
             u * static_cast<double>(n));
     }
+
+    /** Builds the instrument sink of one run once its plan is known. */
+    using SinkFactory =
+        std::function<SampleSink &(const platform::StreamPlan &)>;
+
+    /**
+     * Stream one run of `kernel` into a single instrument tap
+     * (`&StreamObservers::em` or `::v_die`). `make_sink` builds the
+     * sink between streamKernel's passes. When a TruncatedStream
+     * fault is scheduled for (kernel, attempt), a TruncatingSink
+     * ahead of the instrument unwinds the stream at the cutoff with
+     * a FaultError charging `lab_seconds` pro rata plus the timeout.
+     */
+    void streamMeasurement(const isa::Kernel &kernel,
+                           std::uint32_t attempt,
+                           SampleSink *platform::StreamObservers::*tap,
+                           double lab_seconds,
+                           const SinkFactory &make_sink) const;
+
+    /**
+     * Shared body of the scope metrics: link and trigger faults, one
+     * streamed die-voltage capture with noise keyed by `salt`, then
+     * `metric` of the capture (given the supply voltage). The
+     * detail's dominant frequency is the capture's strongest
+     * in-band FFT peak.
+     */
+    double scopeMetric(
+        const isa::Kernel &kernel, ga::EvalDetail *detail,
+        std::uint32_t attempt, std::uint64_t salt,
+        double (*metric)(const instruments::ScopeCaptureSink &capture,
+                         double v_supply)) const;
 
     platform::Platform *plat_;
     std::shared_ptr<platform::Platform> owned_;

@@ -272,16 +272,6 @@ PdnStreamSink::fillSourceRow(double *row, double i_load,
 }
 
 void
-PdnStreamSink::emitProbes()
-{
-    if (v_die_out_)
-        v_die_out_->push(stepper_->value(iv_die_));
-    if (i_die_out_)
-        i_die_out_->push(stepper_->value(ii_die_));
-    ++emitted_;
-}
-
-void
 PdnStreamSink::drainBlock()
 {
     if (buffered_ == 0)
@@ -300,43 +290,31 @@ PdnStreamSink::drainBlock()
 void
 PdnStreamSink::push(double i_load)
 {
-    if (!stepper_ && !block_) {
+    if (!block_) {
         // Matches simulate(): the DC point is biased at the mean load
         // while the trapezoidal source history starts from the t = 0
         // sample — exactly the steppers' (bias, initial) convention.
         // run() seeds that history from the waveforms at t = 0, so
-        // the pulse column starts at i_pulse(0).
+        // the pulse column starts at i_pulse(0). Probe both states
+        // unconditionally: per-row mat-vec sums are
+        // element-independent, so the extra row never changes the
+        // requested one, and the block partition (full blocks from
+        // step 1, remainder at finish) is the one run() executes —
+        // replay stays bit-exact.
         std::array<double, 3> bias{};
         std::array<double, 3> src{};
         bias[0] = mean_load_;
         fillSourceRow(src.data(), i_load, 0);
-        const std::span<const double> bias_s(bias.data(), n_src_);
-        const std::span<const double> src_s(src.data(), n_src_);
-        if (engine_->method() == circuit::TransientMethod::FastState) {
-            // Probe both states unconditionally: per-row mat-vec sums
-            // are element-independent, so the extra row never changes
-            // the requested one, and the block partition (full blocks
-            // from step 1, remainder at finish) is the one run()
-            // executes — replay stays bit-exact.
-            const std::array<std::size_t, 2> probes = {iv_die_,
-                                                       ii_die_};
-            block_.emplace(
-                engine_->makeBlockStepper(bias_s, src_s, probes));
-        } else {
-            stepper_.emplace(engine_->makeStepper(bias_s, src_s));
-        }
-    } else if (block_) {
+        const std::array<std::size_t, 2> probes = {iv_die_, ii_die_};
+        block_.emplace(engine_->makeBlockStepper(
+            std::span<const double>(bias.data(), n_src_),
+            std::span<const double>(src.data(), n_src_), probes));
+    } else {
         fillSourceRow(&in_buf_[n_src_ * buffered_], i_load,
                       next_step_);
         ++next_step_;
         if (++buffered_ == circuit::kStreamBlock)
             drainBlock();
-    } else {
-        std::array<double, 3> src{};
-        fillSourceRow(src.data(), i_load, next_step_);
-        ++next_step_;
-        stepper_->step(std::span<const double>(src.data(), n_src_));
-        emitProbes();
     }
     last_ = i_load;
 }
@@ -358,18 +336,6 @@ PdnStreamSink::finish()
             ++buffered_;
             drainBlock();
             block_->flushMetrics();
-        } else if (stepper_) {
-            std::array<double, 3> src{};
-            fillSourceRow(src.data(), last_, next_step_);
-            ++next_step_;
-            stepper_->step(
-                std::span<const double>(src.data(), n_src_));
-            emitProbes();
-            // The stepper truthfully flushes its own step and solve
-            // counters (steps + state_updates or lu_solves, depending
-            // on the active path); the sink only accounts for its
-            // emissions.
-            stepper_->flushMetrics();
         }
         metrics::Registry::instance().add("pdn.stream.samples",
                                           emitted_);

@@ -123,13 +123,11 @@ struct PdnSimResult
  * sample advances one step, and finish() takes the final step the
  * batch waveform clamp produces from the last sample.
  *
- * On the fast path the sink batches samples into a
- * TransientBlockStepper and drains whole kStreamBlock blocks — the
- * identical block partition (full blocks from step 1, remainder as
- * one tail) that run(), and hence simulate(), executes, so the
- * bit-exact replay contract survives the blocking. On the reference
- * path it steps a per-sample TransientStepper, matching the
- * reference run() loop.
+ * The sink batches samples into a TransientBlockStepper and drains
+ * whole kStreamBlock blocks — the identical block partition (full
+ * blocks from step 1, remainder as one tail) that run(), and hence
+ * simulate(), executes, so the bit-exact replay contract survives the
+ * blocking.
  */
 class PdnStreamSink final : public SampleSink
 {
@@ -150,7 +148,6 @@ class PdnStreamSink final : public SampleSink
                   SampleSink *i_die_out,
                   circuit::SourceWaveform i_pulse);
 
-    void emitProbes();
     void drainBlock();
 
     /**
@@ -165,10 +162,8 @@ class PdnStreamSink final : public SampleSink
 
     /// Engine outlives the sink (owned by the PdnModel's cache); the
     /// stepper is created on the first push so that sample can seed
-    /// the trapezoidal source history. Exactly one of block_
-    /// (fast path) and stepper_ (reference path) is engaged.
+    /// the trapezoidal source history.
     const circuit::TransientAnalysis *engine_;
-    std::optional<circuit::TransientStepper> stepper_;
     std::optional<circuit::TransientBlockStepper> block_;
     double dt_;
     double mean_load_;
@@ -185,7 +180,7 @@ class PdnStreamSink final : public SampleSink
     /// 1-based index of the next transient step, mirroring run()'s
     /// step counter (the first push seeds t = 0 history, not a step).
     std::size_t next_step_ = 1;
-    /// Blocked-path buffers: one source row (stride n_src_) and one
+    /// Block buffers: one source row (stride n_src_) and one
     /// {v_die, i_die} probe row per step of the pending block.
     std::array<double, circuit::kStreamBlock * 3> in_buf_{};
     std::array<double, circuit::kStreamBlock * 2> probe_buf_{};

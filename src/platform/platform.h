@@ -185,8 +185,8 @@ class Platform
     /// @{ Active EM fault injection.
     /**
      * Arm an EMFI pulse: every subsequent run (kernel, stream, SCL,
-     * idle — batch or streaming path alike) injects the pulse as an
-     * extra PDN current source until disarmPulse(). The spec's t0 is
+     * idle, and the runKernelBatch test oracle) injects the pulse as
+     * an extra PDN current source until disarmPulse(). The spec's t0 is
      * relative to the *observed* window: the settle lead-in every run
      * discards is prepended automatically.
      *
@@ -227,9 +227,9 @@ class Platform
     /**
      * Batch-trace implementation of runKernel: sums staggered core
      * traces, resamples, runs the whole-trace PDN transient, then
-     * couples the antenna. Kept as the parity oracle for the
-     * streaming path; runKernel itself streams into trace sinks and
-     * returns bit-identical waveforms.
+     * couples the antenna. The tests' parity oracle for the
+     * streaming path only — no measurement uses it; runKernel itself
+     * streams into trace sinks and returns bit-identical waveforms.
      */
     PlatformRunResult runKernelBatch(const isa::Kernel &kernel,
                                      double duration_s,

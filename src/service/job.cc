@@ -124,7 +124,11 @@ jobDescription(const JobSpec &spec)
        << ":sa" << spec.eval.sa_samples
        << ":f" << spec.eval.f_lo_hz << '-' << spec.eval.f_hi_hz
        << ":cores" << spec.eval.active_cores
-       << ":stream" << (spec.eval.streaming ? 1 : 0)
+       // Literal: the retired streaming/batch switch. Both paths gave
+       // bit-identical results, so keeping the token keeps every
+       // stored artifact's content address, and spilled artifacts
+       // keep serving.
+       << ":stream1"
        << "|metric:" << core::virusMetricName(spec.metric)
        // Not a spec field: the measurement model the result was
        // computed under. Artifacts stored under another noise model

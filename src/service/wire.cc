@@ -187,7 +187,6 @@ encodeJobSpec(WireWriter &w, const JobSpec &spec)
     w.f64(e.f_hi_hz);
     w.u64(e.sa_samples);
     w.u64(e.active_cores);
-    w.u8(e.streaming ? 1 : 0);
 
     w.u8(static_cast<std::uint8_t>(spec.mode));
     const EmfiJobSpec &fi = spec.emfi;
@@ -239,7 +238,6 @@ decodeJobSpec(WireReader &r)
     e.f_hi_hz = r.f64();
     e.sa_samples = static_cast<std::size_t>(r.u64());
     e.active_cores = static_cast<std::size_t>(r.u64());
-    e.streaming = r.u8() != 0;
 
     spec.mode = modeFromWire(r.u8());
     EmfiJobSpec &fi = spec.emfi;

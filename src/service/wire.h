@@ -62,8 +62,11 @@ namespace service {
 
 /** Protocol version exchanged in kPing/kPong. Version 2 added resume
  *  tokens on kSubmit, the kResume/kResumed pair and the priority
- *  class + deadline fields of JobSpec. */
-inline constexpr std::uint32_t kProtocolVersion = 2;
+ *  class + deadline fields of JobSpec. Version 3 dropped the
+ *  evaluation-path byte that followed EvalSettings::active_cores
+ *  (every evaluation streams), so a version-2 kSubmit body is one
+ *  byte too long and fails to decode. */
+inline constexpr std::uint32_t kProtocolVersion = 3;
 
 /** Upper bound on a frame body (malformed-stream guard). */
 inline constexpr std::uint32_t kMaxFrameBytes = 64u << 20;

@@ -309,7 +309,6 @@ TEST(WireCodec, SpecRoundTripsEveryField)
     spec.eval.f_hi_hz = 1.9e8;
     spec.eval.sa_samples = 12;
     spec.eval.active_cores = 2;
-    spec.eval.streaming = false;
     spec.job_class = JobClass::kInteractive;
     spec.deadline_s = 12.5;
     spec.mode = JobMode::kActiveEmfi;
@@ -350,7 +349,6 @@ TEST(WireCodec, SpecRoundTripsEveryField)
     EXPECT_EQ(bits(back.eval.f_hi_hz), bits(spec.eval.f_hi_hz));
     EXPECT_EQ(back.eval.sa_samples, spec.eval.sa_samples);
     EXPECT_EQ(back.eval.active_cores, spec.eval.active_cores);
-    EXPECT_EQ(back.eval.streaming, spec.eval.streaming);
     EXPECT_EQ(back.mode, spec.mode);
     EXPECT_EQ(back.emfi.victim_seed, spec.emfi.victim_seed);
     EXPECT_EQ(back.emfi.victim_length, spec.emfi.victim_length);

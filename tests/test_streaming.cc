@@ -2,22 +2,25 @@
  * @file
  * Parity tests for the streaming measurement pipeline: the batch
  * trace path (runKernelBatch, SpectrumAnalyzer::sweep,
- * Oscilloscope::capture) serves as the oracle and the streaming
- * sinks (streamKernel, SaBandDetector, ScopeCaptureSink) must agree
- * with it — exactly for waveforms and scope metrics, to within
- * 1e-6 dB for the Goertzel-vs-FFT band maximum — all the way up to
- * identical GA search results across thread counts.
+ * Oscilloscope::capture, and the BatchOracleFitness evaluator built
+ * on them) serves as the oracle and the streaming sinks
+ * (streamKernel, SaBandDetector, ScopeCaptureSink) must agree with
+ * it — exactly for waveforms and scope metrics, to within 1e-6 dB
+ * for the Goertzel-vs-FFT band maximum — all the way up to identical
+ * GA search results across thread counts.
  */
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "batch_oracle.h"
 #include "core/fitness.h"
 #include "core/resonance_explorer.h"
 #include "core/virus_generator.h"
@@ -35,12 +38,11 @@ namespace core {
 namespace {
 
 EvalSettings
-fastEval(bool streaming)
+fastEval()
 {
     EvalSettings s;
     s.duration_s = 2e-6;
     s.sa_samples = 3;
-    s.streaming = streaming;
     return s;
 }
 
@@ -297,8 +299,9 @@ TEST(StreamingFitness, EmAmplitudeAgreesWithBatchWithinMicroDb)
 {
     platform::Platform plat(platform::junoA72Config(), 3);
     plat.setFrequency(560e6);
-    EmAmplitudeFitness streaming(plat, fastEval(true));
-    EmAmplitudeFitness batch(plat, fastEval(false));
+    EmAmplitudeFitness streaming(plat, fastEval());
+    BatchOracleFitness batch(plat, VirusMetric::EmAmplitude,
+                             fastEval());
 
     Rng rng(21);
     const isa::Kernel kernels[] = {
@@ -322,10 +325,12 @@ TEST(StreamingFitness, ScopeMetricsAreBitIdenticalToBatch)
 {
     platform::Platform plat(platform::junoA72Config(), 3);
     plat.setFrequency(560e6);
-    MaxDroopFitness droop_s(plat, fastEval(true));
-    MaxDroopFitness droop_b(plat, fastEval(false));
-    PeakToPeakFitness p2p_s(plat, fastEval(true));
-    PeakToPeakFitness p2p_b(plat, fastEval(false));
+    MaxDroopFitness droop_s(plat, fastEval());
+    BatchOracleFitness droop_b(plat, VirusMetric::MaxDroop,
+                               fastEval());
+    PeakToPeakFitness p2p_s(plat, fastEval());
+    BatchOracleFitness p2p_b(plat, VirusMetric::PeakToPeak,
+                             fastEval());
 
     Rng rng(22);
     const isa::Kernel kernels[] = {
@@ -348,59 +353,67 @@ TEST(StreamingFitness, ScopeMetricsAreBitIdenticalToBatch)
 // GA: identical results across streaming/batch and thread counts.
 // ---------------------------------------------------------------
 
-VirusReport
-runSearch(VirusMetric metric, bool streaming, std::size_t threads)
+/**
+ * One GA search on a fresh A72, driven by the production evaluator
+ * for `metric` or, with `oracle`, by the batch-trace oracle.
+ */
+ga::GaResult
+runSearch(VirusMetric metric, bool oracle, std::size_t threads)
 {
     platform::Platform plat(platform::junoA72Config(), 3);
-    VirusGenerator gen(plat);
-    VirusSearchConfig cfg;
-    cfg.ga = fastGa();
-    cfg.ga.threads = threads;
-    cfg.eval = fastEval(streaming);
-    cfg.metric = metric;
-    return gen.search(cfg);
+    std::unique_ptr<ga::FitnessEvaluator> fitness;
+    if (oracle)
+        fitness =
+            std::make_unique<BatchOracleFitness>(plat, metric, fastEval());
+    else if (metric == VirusMetric::EmAmplitude)
+        fitness = std::make_unique<EmAmplitudeFitness>(plat, fastEval());
+    else
+        fitness = std::make_unique<MaxDroopFitness>(plat, fastEval());
+    ga::GaConfig cfg = fastGa();
+    cfg.threads = threads;
+    return ga::GaEngine(plat.pool(), cfg).run(*fitness);
 }
 
 TEST(StreamingGa, DroopSearchIdenticalAcrossModesAndThreads)
 {
-    const auto oracle = runSearch(VirusMetric::MaxDroop, false, 1);
+    const auto oracle = runSearch(VirusMetric::MaxDroop, true, 1);
     for (std::size_t threads : {1u, 2u, 8u}) {
         const auto r =
-            runSearch(VirusMetric::MaxDroop, true, threads);
-        EXPECT_EQ(r.virus, oracle.virus) << threads << " threads";
-        EXPECT_EQ(r.ga.best_fitness, oracle.ga.best_fitness);
-        EXPECT_EQ(r.ga.estimated_lab_seconds,
-                  oracle.ga.estimated_lab_seconds);
-        ASSERT_EQ(r.ga.history.size(), oracle.ga.history.size());
-        for (std::size_t g = 0; g < r.ga.history.size(); ++g) {
-            EXPECT_EQ(r.ga.history[g].best_fitness,
-                      oracle.ga.history[g].best_fitness);
-            EXPECT_EQ(r.ga.history[g].mean_fitness,
-                      oracle.ga.history[g].mean_fitness);
+            runSearch(VirusMetric::MaxDroop, false, threads);
+        EXPECT_EQ(r.best, oracle.best) << threads << " threads";
+        EXPECT_EQ(r.best_fitness, oracle.best_fitness);
+        EXPECT_EQ(r.estimated_lab_seconds,
+                  oracle.estimated_lab_seconds);
+        ASSERT_EQ(r.history.size(), oracle.history.size());
+        for (std::size_t g = 0; g < r.history.size(); ++g) {
+            EXPECT_EQ(r.history[g].best_fitness,
+                      oracle.history[g].best_fitness);
+            EXPECT_EQ(r.history[g].mean_fitness,
+                      oracle.history[g].mean_fitness);
         }
     }
 }
 
 TEST(StreamingGa, EmSearchIdenticalAcrossThreadsAndNearBatch)
 {
-    const auto serial = runSearch(VirusMetric::EmAmplitude, true, 1);
+    const auto serial = runSearch(VirusMetric::EmAmplitude, false, 1);
     for (std::size_t threads : {2u, 8u}) {
         const auto r =
-            runSearch(VirusMetric::EmAmplitude, true, threads);
-        EXPECT_EQ(r.virus, serial.virus) << threads << " threads";
-        EXPECT_EQ(r.ga.best_fitness, serial.ga.best_fitness);
+            runSearch(VirusMetric::EmAmplitude, false, threads);
+        EXPECT_EQ(r.best, serial.best) << threads << " threads";
+        EXPECT_EQ(r.best_fitness, serial.best_fitness);
     }
     // Against the batch FFT oracle the Goertzel recurrence differs
     // only in the last bits (~1e-12 relative), far inside the GA's
     // selection margins: same winner, same convergence history to
     // within the 1e-6 dB budget.
-    const auto batch = runSearch(VirusMetric::EmAmplitude, false, 1);
-    EXPECT_EQ(serial.virus, batch.virus);
-    EXPECT_NEAR(serial.ga.best_fitness, batch.ga.best_fitness, 1e-6);
-    ASSERT_EQ(serial.ga.history.size(), batch.ga.history.size());
-    for (std::size_t g = 0; g < serial.ga.history.size(); ++g)
-        EXPECT_NEAR(serial.ga.history[g].best_fitness,
-                    batch.ga.history[g].best_fitness, 1e-6);
+    const auto batch = runSearch(VirusMetric::EmAmplitude, true, 1);
+    EXPECT_EQ(serial.best, batch.best);
+    EXPECT_NEAR(serial.best_fitness, batch.best_fitness, 1e-6);
+    ASSERT_EQ(serial.history.size(), batch.history.size());
+    for (std::size_t g = 0; g < serial.history.size(); ++g)
+        EXPECT_NEAR(serial.history[g].best_fitness,
+                    batch.history[g].best_fitness, 1e-6);
 }
 
 // ---------------------------------------------------------------

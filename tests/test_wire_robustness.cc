@@ -241,6 +241,50 @@ TEST(WireRobustness, ResumeReplyRoundTripsAndRejectsTruncation)
 }
 
 // ---------------------------------------------------------------
+// Protocol version 3: the evaluation-path byte is gone.
+// ---------------------------------------------------------------
+
+TEST(WireRobustness, VersionTwoSubmitBodyIsRejected)
+{
+    // A version-2 kSubmit body carried one more byte, right after
+    // EvalSettings::active_cores (the retired streaming switch).
+    // Read as version 3 it must fail closed, whichever value the
+    // byte held, never decode as a shifted spec.
+    JobSpec spec;
+    spec.tenant = "v2-client";
+    spec.ga.population = 12;
+    spec.ga.generations = 4;
+    WireWriter w;
+    w.u64(0); // resume token
+    encodeJobSpec(w, spec);
+    // Fixed-width fields after active_cores: mode (1), six EMFI
+    // fields (6 x 8), job class (1), deadline (8).
+    constexpr std::size_t kTail = 1 + 6 * 8 + 1 + 8;
+    ASSERT_GT(w.bytes().size(), kTail);
+    {
+        WireReader v3(w.bytes());
+        (void)v3.u64();
+        EXPECT_EQ(decodeJobSpec(v3).ga.population, 12u);
+        v3.expectEnd();
+    }
+    for (const std::uint8_t streaming : {std::uint8_t{0},
+                                         std::uint8_t{1}}) {
+        std::vector<std::uint8_t> v2 = w.bytes();
+        v2.insert(v2.end() - static_cast<std::ptrdiff_t>(kTail),
+                  streaming);
+        WireReader r(v2);
+        (void)r.u64();
+        EXPECT_THROW(
+            {
+                (void)decodeJobSpec(r);
+                r.expectEnd();
+            },
+            ProtocolError)
+            << "streaming byte " << int{streaming};
+    }
+}
+
+// ---------------------------------------------------------------
 // Streaming reconnect/resume over real sockets.
 // ---------------------------------------------------------------
 
