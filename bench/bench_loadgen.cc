@@ -17,7 +17,11 @@
  * The point is scheduler and transport behavior under contention —
  * admission, fairness, priority classes, artifact serving, restart
  * recovery — not platform simulation throughput, hence the synthetic
- * fitness. Results land in the
+ * fitness. To put a number on the scheduler's own cost, the searched
+ * specs are also run through a direct GaDriver on the service's fleet
+ * (metrics off, so the ledger's counters describe the service alone)
+ * and the gauge loadgen.overhead_pct compares the two walls per
+ * generation. Results land in the
  * emstress-bench-perf-v1 ledger (bench_out/BENCH_perf.
  * loadgen_service.json) with the percentiles as gauges, compared
  * against bench/baselines/ by tools/perfdiff.py. Latency percentiles
@@ -25,6 +29,7 @@
  * the job/artifact counters are exact.
  */
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <filesystem>
@@ -140,6 +145,32 @@ loadgenSpec(const std::string &tenant, std::uint64_t seed)
 /// met/missed *ledger* works, not a latency SLO on a shared host).
 constexpr double kInteractiveDeadlineS = 300.0;
 
+/**
+ * Run every spec to completion through a direct GaDriver on `fleet`,
+ * one after another, with metrics off so the ledger stays the
+ * service's. Returns the wall time and the results in spec order.
+ */
+double
+runDirect(const std::vector<service::JobSpec> &specs, WorkerFleet &fleet,
+          std::vector<ga::GaResult> &results)
+{
+    metrics::setEnabled(false);
+    const double t0 = metrics::monotonicSeconds();
+    for (const service::JobSpec &spec : specs) {
+        const isa::InstructionPool &pool = presetPool(spec.platform);
+        LoadgenFitness fitness(pool);
+        ga::BatchHooks hooks;
+        hooks.fleet = &fleet;
+        ga::GaDriver driver(pool, spec.ga, fitness, {}, hooks);
+        while (!driver.done())
+            (void)driver.step();
+        results.push_back(driver.finish());
+    }
+    const double wall = metrics::monotonicSeconds() - t0;
+    metrics::setEnabled(true);
+    return wall;
+}
+
 } // namespace
 } // namespace bench
 } // namespace emstress
@@ -211,6 +242,7 @@ main()
             ids.push_back(sub.id);
         }
     }
+    const double drain0 = metrics::monotonicSeconds();
     {
         metrics::ScopedPhase phase("loadgen.drain");
         for (service::JobId id : ids) {
@@ -221,6 +253,44 @@ main()
             }
         }
     }
+    const double service_wall = metrics::monotonicSeconds() - drain0;
+
+    // Scheduler overhead: the same searches, direct, on the same fleet.
+    // Their bits must match the service's (service == direct).
+    std::vector<ga::GaResult> direct;
+    direct.reserve(jobs_total);
+    const double direct_wall = runDirect(specs, svc->fleet(), direct);
+    std::size_t generations = 0;
+    for (std::size_t i = 0; i < jobs_total; ++i) {
+        const auto result = svc->result(ids[i]);
+        if (std::bit_cast<std::uint64_t>(result->ga.best_fitness)
+                != std::bit_cast<std::uint64_t>(direct[i].best_fitness)
+            || result->ga.history.size() != direct[i].history.size()) {
+            std::cerr << "job " << ids[i]
+                      << " differs from its direct run\n";
+            return 1;
+        }
+        generations += direct[i].history.size();
+    }
+    const double service_gen_ms =
+        service_wall * 1e3 / static_cast<double>(generations);
+    const double direct_gen_ms =
+        direct_wall * 1e3 / static_cast<double>(generations);
+    const double overhead_pct =
+        (service_gen_ms / direct_gen_ms - 1.0) * 100.0;
+    metrics::Registry::instance().setGauge("loadgen.overhead_pct",
+                                           overhead_pct);
+    Table overhead({"path", "wall [s]", "per generation [ms]"});
+    overhead.row()
+        .cell("service (4 runners)")
+        .cell(service_wall, 4)
+        .cell(service_gen_ms, 4);
+    overhead.row()
+        .cell("direct GaDriver (sequential)")
+        .cell(direct_wall, 4)
+        .cell(direct_gen_ms, 4);
+    overhead.print("scheduler overhead: " + std::to_string(overhead_pct)
+                   + " % over direct, same fleet");
 
     // Round 2: duplicate specs — content-identical resubmissions
     // (some cross-tenant) that the artifact store must serve

@@ -14,17 +14,21 @@
  *   quarantine/       corrupt/truncated pairs moved aside, kept for
  *                     post-mortems, never re-indexed
  *
- * Write protocol: payload first, sidecar last, each via temp file +
- * rename — a crash between the two leaves an orphan payload the next
- * scan ignores, never a sidecar pointing at torn bytes. Every
- * filesystem call uses the non-throwing error_code overloads (or
- * stream states): disk trouble increments a counter and degrades to a
- * miss, it never propagates into the scheduler.
+ * Write protocol: both files are written to uniquely named temps
+ * (`<stem>.<ext>.<n>.tmp`) off the mutex, then renamed under it,
+ * payload first and sidecar last — a crash between the two renames
+ * leaves an orphan payload the next scan ignores, never a sidecar
+ * pointing at torn bytes, and a crash before them leaves temps the
+ * next scan deletes. Every filesystem call uses the non-throwing
+ * error_code overloads (or stream states): disk trouble increments a
+ * counter and degrades to a miss, it never propagates into the
+ * scheduler.
  */
 
 #include "service/artifact_store.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <filesystem>
 #include <fstream>
@@ -120,27 +124,61 @@ parseMeta(const fs::path &path, MetaInfo &out)
     return have_fp && have_epoch && have_preset && have_bytes;
 }
 
+/**
+ * A temp path beside `dest` that no other writer in this process
+ * uses: concurrent writers of one destination must not share a temp.
+ */
+fs::path
+uniqueTempPath(const fs::path &dest)
+{
+    static std::atomic<std::uint64_t> serial{0};
+    return dest.string() + "."
+        + std::to_string(serial.fetch_add(1, std::memory_order_relaxed))
+        + ".tmp";
+}
+
+/** Write `bytes` to `path` (truncating); false on any stream error. */
+bool
+writeFile(const fs::path &path, const void *bytes, std::size_t n)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    if (!out)
+        return false;
+    out.write(static_cast<const char *>(bytes),
+              static_cast<std::streamsize>(n));
+    return static_cast<bool>(out);
+}
+
 /** Atomically replace `dest` with `bytes` (temp file + rename). */
 bool
 atomicWrite(const fs::path &dest, const void *bytes, std::size_t n)
 {
-    const fs::path tmp = dest.string() + ".tmp";
-    {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        if (!out)
-            return false;
-        out.write(static_cast<const char *>(bytes),
-                  static_cast<std::streamsize>(n));
-        if (!out)
-            return false;
-    }
+    const fs::path tmp = uniqueTempPath(dest);
     std::error_code ec;
+    if (!writeFile(tmp, bytes, n)) {
+        fs::remove(tmp, ec);
+        return false;
+    }
     fs::rename(tmp, dest, ec);
     if (ec) {
         fs::remove(tmp, ec);
         return false;
     }
     return true;
+}
+
+/** Sidecar text of a spilled entry. */
+std::string
+metaText(const std::string &stem, std::size_t epoch,
+         PlatformPreset preset, std::uintmax_t payload_bytes)
+{
+    std::ostringstream meta;
+    meta << kSpillSchema << '\n'
+         << "fingerprint " << stem << '\n'
+         << "epoch " << epoch << '\n'
+         << "preset " << presetName(preset) << '\n'
+         << "payload_bytes " << payload_bytes << '\n';
+    return meta.str();
 }
 
 /** Wire-encode a result against its preset's pool. */
@@ -152,7 +190,46 @@ encodePayload(const JobResult &result, PlatformPreset preset)
     return w.bytes();
 }
 
+/**
+ * Read and decode a spilled payload; null when the file is missing,
+ * unreadable, truncated or does not decode.
+ */
+std::shared_ptr<const JobResult>
+loadPayload(const fs::path &path, PlatformPreset preset)
+{
+    std::vector<std::uint8_t> bytes;
+    {
+        std::ifstream in(path, std::ios::binary | std::ios::ate);
+        if (!in)
+            return nullptr;
+        const std::streamsize n = in.tellg();
+        in.seekg(0);
+        bytes.resize(static_cast<std::size_t>(std::max<std::streamsize>(
+            n, 0)));
+        if (!bytes.empty()
+            && !in.read(reinterpret_cast<char *>(bytes.data()),
+                        static_cast<std::streamsize>(bytes.size())))
+            return nullptr;
+    }
+    try {
+        WireReader r(bytes);
+        auto result = std::make_shared<JobResult>(
+            decodeJobResult(r, presetPool(preset)));
+        r.expectEnd();
+        return result;
+    } catch (const std::exception &) {
+        return nullptr;
+    }
+}
+
 } // namespace
+
+struct ArtifactStore::StagedSpill
+{
+    fs::path artifact_tmp;
+    fs::path meta_tmp;
+    bool ok = false; ///< Both temps written completely.
+};
 
 ArtifactStore::ArtifactStore(Config config)
     : config_(std::move(config))
@@ -171,6 +248,13 @@ ArtifactStore::noteCounter(const char *name, std::uint64_t delta)
 }
 
 void
+ArtifactStore::noteSpillErrorLocked()
+{
+    ++stats_.spill_errors;
+    noteCounter("service.store.spill_errors");
+}
+
+void
 ArtifactStore::scanSpillDirLocked()
 {
     std::error_code ec;
@@ -182,12 +266,19 @@ ArtifactStore::scanSpillDirLocked()
     // scan effects (epoch resolution, quarantine moves) replay
     // identically across runs. lint: ordered-merge
     std::vector<fs::path> sidecars;
+    std::vector<fs::path> orphan_temps;
     for (fs::directory_iterator it(config_.spill_dir, ec), end;
          !ec && it != end; it.increment(ec)) {
         if (it->path().extension() == ".meta")
             sidecars.push_back(it->path());
+        else if (it->path().extension() == ".tmp")
+            orphan_temps.push_back(it->path());
     }
     std::sort(sidecars.begin(), sidecars.end());
+    // Temps are only ever renamed into place by the store that wrote
+    // them; one present at construction is a crash leftover.
+    for (const fs::path &tmp : orphan_temps)
+        fs::remove(tmp, ec);
 
     for (const fs::path &meta_path : sidecars) {
         MetaInfo meta;
@@ -222,6 +313,7 @@ ArtifactStore::scanSpillDirLocked()
         entry.last_used = meta.epoch;
         entry.preset = meta.preset;
         entry.on_disk = true;
+        entry.version = ++next_version_;
         entries_[meta.fingerprint] = std::move(entry);
         epoch_ = std::max(epoch_, meta.epoch);
         ++stats_.spill_indexed;
@@ -229,76 +321,56 @@ ArtifactStore::scanSpillDirLocked()
     }
 }
 
-bool
-ArtifactStore::spillLocked(std::uint64_t fingerprint,
-                           const Entry &entry)
+ArtifactStore::StagedSpill
+ArtifactStore::stageSpill(std::uint64_t fingerprint,
+                          const JobResult &artifact,
+                          PlatformPreset preset,
+                          std::size_t epoch) const
 {
     const std::string stem = fingerprintStem(fingerprint);
     const fs::path root(config_.spill_dir);
+    StagedSpill staged;
+    staged.artifact_tmp = uniqueTempPath(root / (stem + ".artifact"));
+    staged.meta_tmp = uniqueTempPath(root / (stem + ".meta"));
     const std::vector<std::uint8_t> payload =
-        encodePayload(*entry.artifact, entry.preset);
-    if (!atomicWrite(root / (stem + ".artifact"), payload.data(),
-                     payload.size())) {
-        ++stats_.spill_errors;
-        noteCounter("service.store.spill_errors");
+        encodePayload(artifact, preset);
+    const std::string text =
+        metaText(stem, epoch, preset, payload.size());
+    staged.ok =
+        writeFile(staged.artifact_tmp, payload.data(), payload.size())
+        && writeFile(staged.meta_tmp, text.data(), text.size());
+    if (!staged.ok) {
+        std::error_code ec;
+        fs::remove(staged.artifact_tmp, ec);
+        fs::remove(staged.meta_tmp, ec);
+    }
+    return staged;
+}
+
+bool
+ArtifactStore::commitSpillLocked(std::uint64_t fingerprint,
+                                 const StagedSpill &staged)
+{
+    if (!staged.ok) {
+        noteSpillErrorLocked();
         return false;
     }
-    std::ostringstream meta;
-    meta << kSpillSchema << '\n'
-         << "fingerprint " << stem << '\n'
-         << "epoch " << entry.last_used << '\n'
-         << "preset " << presetName(entry.preset) << '\n'
-         << "payload_bytes " << payload.size() << '\n';
-    const std::string text = meta.str();
-    if (!atomicWrite(root / (stem + ".meta"), text.data(),
-                     text.size())) {
-        ++stats_.spill_errors;
-        noteCounter("service.store.spill_errors");
+    const std::string stem = fingerprintStem(fingerprint);
+    const fs::path root(config_.spill_dir);
+    std::error_code ec;
+    // Payload first, sidecar last: the sidecar is the commit point.
+    fs::rename(staged.artifact_tmp, root / (stem + ".artifact"), ec);
+    if (!ec)
+        fs::rename(staged.meta_tmp, root / (stem + ".meta"), ec);
+    if (ec) {
+        fs::remove(staged.artifact_tmp, ec);
+        fs::remove(staged.meta_tmp, ec);
+        noteSpillErrorLocked();
         return false;
     }
     ++stats_.spill_writes;
     noteCounter("service.store.spill_writes");
     return true;
-}
-
-std::shared_ptr<const JobResult>
-ArtifactStore::loadSpillLocked(std::uint64_t fingerprint,
-                               Entry &entry)
-{
-    const fs::path payload_path =
-        fs::path(config_.spill_dir)
-        / (fingerprintStem(fingerprint) + ".artifact");
-    std::vector<std::uint8_t> bytes;
-    {
-        std::ifstream in(payload_path,
-                         std::ios::binary | std::ios::ate);
-        if (!in) {
-            quarantineLocked(fingerprint);
-            return nullptr;
-        }
-        const std::streamsize n = in.tellg();
-        in.seekg(0);
-        bytes.resize(static_cast<std::size_t>(std::max<std::streamsize>(
-            n, 0)));
-        if (!bytes.empty()
-            && !in.read(reinterpret_cast<char *>(bytes.data()),
-                        static_cast<std::streamsize>(bytes.size()))) {
-            quarantineLocked(fingerprint);
-            return nullptr;
-        }
-    }
-    try {
-        WireReader r(bytes);
-        auto result = std::make_shared<JobResult>(
-            decodeJobResult(r, presetPool(entry.preset)));
-        r.expectEnd();
-        return result;
-    } catch (const std::exception &) {
-        // Truncated or bit-rotted payload: out of the serving path,
-        // kept for inspection, reported as a miss.
-        quarantineLocked(fingerprint);
-        return nullptr;
-    }
 }
 
 void
@@ -311,22 +383,14 @@ ArtifactStore::rewriteMetaLocked(std::uint64_t fingerprint,
     const std::uintmax_t bytes =
         fs::file_size(root / (stem + ".artifact"), ec);
     if (ec) {
-        ++stats_.spill_errors;
-        noteCounter("service.store.spill_errors");
+        noteSpillErrorLocked();
         return;
     }
-    std::ostringstream meta;
-    meta << kSpillSchema << '\n'
-         << "fingerprint " << stem << '\n'
-         << "epoch " << entry.last_used << '\n'
-         << "preset " << presetName(entry.preset) << '\n'
-         << "payload_bytes " << bytes << '\n';
-    const std::string text = meta.str();
+    const std::string text =
+        metaText(stem, entry.last_used, entry.preset, bytes);
     if (!atomicWrite(root / (stem + ".meta"), text.data(),
-                     text.size())) {
-        ++stats_.spill_errors;
-        noteCounter("service.store.spill_errors");
-    }
+                     text.size()))
+        noteSpillErrorLocked();
 }
 
 void
@@ -345,8 +409,7 @@ ArtifactStore::quarantineLocked(std::uint64_t fingerprint)
         fs::rename(src, qdir / (stem + ext), ec);
         if (ec) {
             fs::remove(src, ec); // last resort: out of the index
-            ++stats_.spill_errors;
-            noteCounter("service.store.spill_errors");
+            noteSpillErrorLocked();
         }
         moved = true;
     }
@@ -364,38 +427,14 @@ ArtifactStore::removeSpillLocked(std::uint64_t fingerprint)
     std::error_code ec;
     for (const char *ext : {".artifact", ".meta"}) {
         fs::remove(root / (stem + ext), ec);
-        if (ec) {
-            ++stats_.spill_errors;
-            noteCounter("service.store.spill_errors");
-        }
+        if (ec)
+            noteSpillErrorLocked();
     }
 }
 
 std::shared_ptr<const JobResult>
-ArtifactStore::fetch(std::uint64_t fingerprint)
+ArtifactStore::hitLocked(std::uint64_t fingerprint, Entry &entry)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = entries_.find(fingerprint);
-    if (it == entries_.end()) {
-        ++stats_.misses;
-        noteCounter("service.store.misses");
-        return nullptr;
-    }
-    Entry &entry = it->second;
-    if (!entry.artifact) {
-        // Disk-indexed, not resident: the lazy-load path a restarted
-        // daemon takes the first time each spilled spec repeats.
-        auto loaded = loadSpillLocked(fingerprint, entry);
-        if (!loaded) {
-            entries_.erase(it);
-            ++stats_.misses;
-            noteCounter("service.store.misses");
-            return nullptr;
-        }
-        entry.artifact = std::move(loaded);
-        ++stats_.disk_hits;
-        noteCounter("service.store.disk_hits");
-    }
     if (entry.last_used != epoch_) {
         entry.last_used = epoch_;
         // Persist the refresh so LRU age survives a restart.
@@ -407,28 +446,115 @@ ArtifactStore::fetch(std::uint64_t fingerprint)
     return entry.artifact;
 }
 
+std::shared_ptr<const JobResult>
+ArtifactStore::fetch(std::uint64_t fingerprint)
+{
+    PlatformPreset preset = PlatformPreset::kJunoA72;
+    std::uint64_t version = 0;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        const auto it = entries_.find(fingerprint);
+        if (it == entries_.end()) {
+            ++stats_.misses;
+            noteCounter("service.store.misses");
+            return nullptr;
+        }
+        if (it->second.artifact)
+            return hitLocked(fingerprint, it->second);
+        preset = it->second.preset;
+        version = it->second.version;
+    }
+
+    // Disk-indexed, not resident: the lazy-load path a restarted
+    // daemon takes the first time each spilled spec repeats. The
+    // read and decode run unlocked; the index decides afterwards
+    // whether the bytes still belong to the entry.
+    auto loaded = loadPayload(
+        fs::path(config_.spill_dir)
+            / (fingerprintStem(fingerprint) + ".artifact"),
+        preset);
+
+    std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = entries_.find(fingerprint);
+    if (it == entries_.end() || it->second.version != version) {
+        // Evicted, invalidated or re-inserted during the read: the
+        // file may have changed under it, so the read proves nothing.
+        // A re-insert is resident and serves; otherwise this is a
+        // miss.
+        if (it != entries_.end() && it->second.artifact)
+            return hitLocked(fingerprint, it->second);
+        ++stats_.misses;
+        noteCounter("service.store.misses");
+        return nullptr;
+    }
+    Entry &entry = it->second;
+    if (!entry.artifact) {
+        if (!loaded) {
+            // Truncated or bit-rotted payload: out of the serving
+            // path, kept for inspection, reported as a miss.
+            quarantineLocked(fingerprint);
+            entries_.erase(it);
+            ++stats_.misses;
+            noteCounter("service.store.misses");
+            return nullptr;
+        }
+        entry.artifact = std::move(loaded);
+        ++stats_.disk_hits;
+        noteCounter("service.store.disk_hits");
+    }
+    return hitLocked(fingerprint, entry);
+}
+
+#ifndef NDEBUG
+void
+ArtifactStore::assertBenignReplacement(std::uint64_t fingerprint,
+                                       const JobResult &artifact,
+                                       PlatformPreset preset)
+{
+    std::shared_ptr<const JobResult> prior;
+    PlatformPreset prior_preset = preset;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        const auto it = entries_.find(fingerprint);
+        if (it != entries_.end()) {
+            prior = it->second.artifact;
+            prior_preset = it->second.preset;
+        }
+    }
+    // The fingerprint covers every result-defining field, so two
+    // completions of one address must carry the same bytes; anything
+    // else is a determinism bug upstream.
+    assert((!prior
+            || encodePayload(*prior, prior_preset)
+                   == encodePayload(artifact, preset))
+           && "artifact replacement changed payload bytes");
+}
+#endif
+
 void
 ArtifactStore::insert(std::uint64_t fingerprint,
                       std::shared_ptr<const JobResult> artifact,
                       PlatformPreset preset)
 {
+    // Everything expensive happens before the commit lock: encoding,
+    // and writing the pair to temps no other insert shares.
+#ifndef NDEBUG
+    if (artifact)
+        assertBenignReplacement(fingerprint, *artifact, preset);
+#endif
+    const bool spill = !config_.spill_dir.empty();
+    StagedSpill staged;
+    if (spill)
+        staged = stageSpill(fingerprint, *artifact, preset, epoch());
+
     std::lock_guard<std::mutex> lock(mutex_);
     const auto it = entries_.find(fingerprint);
     const bool replacing = it != entries_.end();
-#ifndef NDEBUG
-    // The fingerprint covers every result-defining field, so two
-    // completions of one address must carry the same bytes; anything
-    // else is a determinism bug upstream.
-    if (replacing && it->second.artifact && artifact) {
-        assert(encodePayload(*it->second.artifact, it->second.preset)
-                   == encodePayload(*artifact, preset)
-               && "artifact replacement changed payload bytes");
-    }
-#endif
     Entry &entry = replacing ? it->second : entries_[fingerprint];
     entry.artifact = std::move(artifact);
     entry.last_used = epoch_;
     entry.preset = preset;
+    entry.version = ++next_version_;
     if (replacing) {
         ++stats_.replacements;
         noteCounter("service.store.replacements");
@@ -436,8 +562,8 @@ ArtifactStore::insert(std::uint64_t fingerprint,
         ++stats_.inserts;
         noteCounter("service.store.inserts");
     }
-    if (!config_.spill_dir.empty())
-        entry.on_disk = spillLocked(fingerprint, entry);
+    if (spill)
+        entry.on_disk = commitSpillLocked(fingerprint, staged);
 }
 
 bool

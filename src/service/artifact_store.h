@@ -22,15 +22,22 @@
  * the wire-encoded JobResult and a `<fp16>.meta` text sidecar
  * carrying schema version, fingerprint, logical epoch, platform
  * preset and payload size. Writes are atomic (temp file + rename,
- * meta last so the sidecar is the commit point). On construction the
+ * meta last so the sidecar is the commit point). Encoding and file
+ * contents are written off the store mutex, to uniquely named temp
+ * files; the mutex is held only to rename a finished pair into place
+ * and index it, so concurrent completions of one fingerprint never
+ * share a temp path and an eviction racing a write leaves the files
+ * and the index consistent. On construction the
  * store scans the directory and indexes every valid sidecar without
  * reading payloads; payload bytes load lazily on the first fetch of a
  * spilled fingerprint, so a restarted daemon serves bit-identical
  * artifacts without re-running searches. Corrupt or truncated spill
  * files are quarantined (moved under `<root>/quarantine/`), counted,
  * and treated as misses — disk damage degrades service, never
- * crashes it. The logical-epoch TTL extends to the disk tier:
- * eviction removes the file pair along with the index entry.
+ * crashes it. Temp files orphaned by a crash mid-write are deleted by
+ * the scan; a spill root belongs to one store at a time. The
+ * logical-epoch TTL extends to the disk tier: eviction removes the
+ * file pair along with the index entry.
  */
 
 #ifndef EMSTRESS_SERVICE_ARTIFACT_STORE_H
@@ -100,17 +107,23 @@ class ArtifactStore
      * Look up an artifact by content address. A hit refreshes the
      * entry's last-used epoch (LRU-in-epochs semantics, persisted to
      * the sidecar so TTL survives restarts). A fingerprint indexed on
-     * disk but not resident loads lazily; a payload that fails to
-     * load or decode is quarantined and reported as a miss.
+     * disk but not resident loads lazily, read and decoded off the
+     * mutex; a payload that fails to load or decode is quarantined
+     * and reported as a miss. An entry evicted or invalidated while
+     * its payload was being read is a miss.
      */
     std::shared_ptr<const JobResult> fetch(std::uint64_t fingerprint);
 
     /**
      * Store (or replace) an artifact under its content address and
-     * spill it to the disk tier when one is configured. The preset
+     * spill it to the disk tier when one is configured; the spill is
+     * durable (renamed into place) when this returns. The preset
      * names the instruction pool the result's kernels serialize
      * against. Replacing an existing fingerprint must be byte-benign:
-     * debug builds assert the encoded payloads are identical.
+     * debug builds assert the encoded payloads are identical. The
+     * sidecar records the epoch at which the write began, which may
+     * trail the in-memory stamp by advances that overlapped the write
+     * (an entry then ages that much sooner after a restart).
      */
     void insert(std::uint64_t fingerprint,
                 std::shared_ptr<const JobResult> artifact,
@@ -156,17 +169,40 @@ class ArtifactStore
         PlatformPreset preset = PlatformPreset::kJunoA72;
         /// An artifact/meta pair exists under spill_dir. guards: mutex_
         bool on_disk = false;
+        /// Store-unique index generation, new on every (re)index: an
+        /// off-lock payload read is trusted only if the entry still
+        /// carries the generation it read under. guards: mutex_
+        std::uint64_t version = 0;
     };
+
+    /// An artifact/meta pair written to temp files, not yet renamed.
+    struct StagedSpill;
+
+    /// Stage a spill pair off the mutex (encode + write temps).
+    StagedSpill stageSpill(std::uint64_t fingerprint,
+                           const JobResult &artifact,
+                           PlatformPreset preset,
+                           std::size_t epoch) const;
+
+#ifndef NDEBUG
+    /// Assert a replacement's payload bytes match the stored ones
+    /// (both encoded off the mutex).
+    void assertBenignReplacement(std::uint64_t fingerprint,
+                                 const JobResult &artifact,
+                                 PlatformPreset preset);
+#endif
 
     /// @{ Disk-tier internals (all called with mutex_ held).
     void scanSpillDirLocked();
-    bool spillLocked(std::uint64_t fingerprint, const Entry &entry);
+    bool commitSpillLocked(std::uint64_t fingerprint,
+                           const StagedSpill &staged);
     std::shared_ptr<const JobResult>
-    loadSpillLocked(std::uint64_t fingerprint, Entry &entry);
+    hitLocked(std::uint64_t fingerprint, Entry &entry);
     void rewriteMetaLocked(std::uint64_t fingerprint,
                            const Entry &entry);
     void quarantineLocked(std::uint64_t fingerprint);
     void removeSpillLocked(std::uint64_t fingerprint);
+    void noteSpillErrorLocked();
     /// @}
 
     void noteCounter(const char *name, std::uint64_t delta = 1);
@@ -177,6 +213,7 @@ class ArtifactStore
     /// operations must happen in deterministic (fingerprint) order.
     std::map<std::uint64_t, Entry> entries_; // guards: mutex_
     std::size_t epoch_ = 0;                  // guards: mutex_
+    std::uint64_t next_version_ = 0;         // guards: mutex_
     Stats stats_;                            // guards: mutex_
 };
 

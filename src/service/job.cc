@@ -14,16 +14,29 @@
 namespace emstress {
 namespace service {
 
-platform::PlatformConfig
+const platform::PlatformConfig &
 presetConfig(PlatformPreset preset)
 {
+    // One calibration per preset per process: each factory solves the
+    // die tank against its resonance anchors, which costs tens of
+    // milliseconds. The magic statics are built on first use and never
+    // written again, so concurrent readers need no lock.
     switch (preset) {
-    case PlatformPreset::kJunoA72:
-        return platform::junoA72Config();
-    case PlatformPreset::kJunoA53:
-        return platform::junoA53Config();
-    case PlatformPreset::kAthlon:
-        return platform::athlonConfig();
+    case PlatformPreset::kJunoA72: {
+        static const platform::PlatformConfig a72 =
+            platform::junoA72Config();
+        return a72;
+    }
+    case PlatformPreset::kJunoA53: {
+        static const platform::PlatformConfig a53 =
+            platform::junoA53Config();
+        return a53;
+    }
+    case PlatformPreset::kAthlon: {
+        static const platform::PlatformConfig athlon =
+            platform::athlonConfig();
+        return athlon;
+    }
     }
     throwConfigError("unknown platform preset");
 }
@@ -34,12 +47,20 @@ presetPool(PlatformPreset preset)
     // Immutable after construction; shared by every job and the
     // client-side wire codec. Construction is deterministic, so these
     // are content-identical to the pools platforms build themselves.
+    // The ISA family is a property of the preset, so no platform
+    // config (and no calibration) is needed to pick the pool.
     static const isa::InstructionPool arm =
         isa::InstructionPool::armV8();
     static const isa::InstructionPool x86 =
         isa::InstructionPool::x86Sse2();
-    return presetConfig(preset).isa == isa::IsaFamily::ArmV8 ? arm
-                                                             : x86;
+    switch (preset) {
+    case PlatformPreset::kJunoA72:
+    case PlatformPreset::kJunoA53:
+        return arm;
+    case PlatformPreset::kAthlon:
+        return x86;
+    }
+    throwConfigError("unknown platform preset");
 }
 
 std::string

@@ -41,14 +41,22 @@ enum class PlatformPreset : std::uint8_t
     kAthlon = 2,  ///< AMD Athlon II X4 (Kelvin pads).
 };
 
-/** Platform config of a preset. */
-platform::PlatformConfig presetConfig(PlatformPreset preset);
+/**
+ * Calibrated platform config of a preset: one immutable instance per
+ * preset, built by the platform::*Config() factory on first use and
+ * shared for the life of the process (thread-safe; every call returns
+ * the same address). The factories re-solve the die-tank calibration
+ * on every call, so service code reaches configs only through here.
+ */
+const platform::PlatformConfig &presetConfig(PlatformPreset preset);
 
 /**
  * The instruction pool a preset's platform draws kernels from —
- * content-identical to Platform::pool() of that preset, so GA runs
- * seeded from either produce the same individuals. One shared
- * immutable instance per ISA family.
+ * content-identical to Platform(presetConfig(p), seed).pool(), so GA
+ * runs seeded from either produce the same individuals. One shared
+ * immutable instance per ISA family, picked from the preset alone:
+ * never builds or calibrates a config, so it is cheap enough for the
+ * wire codec and the artifact store's hot paths.
  */
 const isa::InstructionPool &presetPool(PlatformPreset preset);
 

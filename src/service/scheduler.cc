@@ -5,10 +5,12 @@
  * Locking: one mutex guards every scheduling structure (jobs,
  * tenants, queues, events). It is dropped for the expensive parts —
  * evaluator construction and driver->step(), i.e. the platform
- * simulation — so transports and other runners stay responsive while
+ * simulation, and a completed job's artifact write (encoding and
+ * disk I/O) — so transports and other runners stay responsive while
  * generations evaluate on the fleet. A job being stepped is claimed
  * via Job::stepping, so at most one thread is ever inside a given
- * job's driver.
+ * job's driver; a completing job is claimed via Job::publishing until
+ * its kCompleted event is out.
  *
  * Latency metrics recorded here (queue-wait, job latency) are
  * observability only, never control flow: the scheduler's decisions
@@ -253,7 +255,7 @@ SearchService::stepJob(std::unique_lock<std::mutex> &lock, Job &job)
         return;
     }
     if (job.driver->done()) {
-        finalizeCompleted(job);
+        finalizeCompleted(lock, job);
         return;
     }
     enqueueRunnableLocked(job);
@@ -289,8 +291,12 @@ SearchService::finalizeCommon(Job &job, JobEvent event)
 }
 
 void
-SearchService::finalizeCompleted(Job &job)
+SearchService::finalizeCompleted(std::unique_lock<std::mutex> &lock,
+                                 Job &job)
 {
+    // 1. Retire the job under the lock. Completion is committed from
+    //    here on: cancel() reports false, the reaper leaves the job
+    //    alone, and status() reads progress off the result.
     auto result = std::make_shared<JobResult>();
     // Report the metric that actually drove the search: active-EMFI
     // jobs (and substituted test evaluators) are not described by the
@@ -301,16 +307,32 @@ SearchService::finalizeCompleted(Job &job)
     result->ga = job.driver->finish();
     result->fingerprint = job.fingerprint;
     job.result = result;
-    job.state = JobState::kCompleted;
+    job.publishing = true;
     // Retire the heavy per-job machinery eagerly: hundreds of live
     // platform replicas would otherwise linger until the map dies.
-    job.driver.reset();
-    job.evaluator.reset();
+    // The driver refers to the evaluator, so it goes first.
+    std::unique_ptr<ga::FitnessEvaluator> evaluator =
+        std::move(job.evaluator);
+    std::unique_ptr<ga::GaDriver> driver = std::move(job.driver);
+    const std::uint64_t fingerprint = job.fingerprint;
+    const PlatformPreset preset = job.spec.platform;
+
+    // 2. Off the lock: free the machinery, then make the artifact
+    //    durable (encode, write temps, rename into place).
+    lock.unlock();
+    driver.reset();
+    evaluator.reset();
     if (config_.use_artifact_store) {
-        store_.insert(job.fingerprint, result, job.spec.platform);
+        store_.insert(fingerprint, result, preset);
         // Logical time = completed searches.
         store_.advanceEpoch();
     }
+    lock.lock();
+
+    // 3. Publish: the completion event follows the durable write, so
+    //    a client that saw kCompleted finds the artifact on disk.
+    job.publishing = false;
+    job.state = JobState::kCompleted;
     if (metrics::enabled())
         metrics::Registry::instance().add("service.jobs_completed");
     JobEvent ev;
@@ -471,7 +493,8 @@ SearchService::submit(const JobSpec &spec,
 bool
 SearchService::cancelLocked(Job &job)
 {
-    if (isTerminal(job.state) || job.cancel_requested)
+    if (isTerminal(job.state) || job.cancel_requested
+        || job.publishing)
         return false;
     job.cancel_requested = true;
     if (job.cancel_flag)

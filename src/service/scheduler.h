@@ -151,7 +151,8 @@ class SearchService
      * yet terminal: queued jobs cancel immediately, running jobs
      * drain their in-flight generation (skipped evaluations are
      * never scored or cached — BatchEvaluator guarantee 5) and then
-     * report kCancelled.
+     * report kCancelled. False, too, for a job whose search has
+     * finished and whose artifact is being written: it completes.
      */
     bool cancel(JobId id);
 
@@ -256,6 +257,9 @@ class SearchService
         bool cancel_requested = false;      // guards: mutex_
         /// A thread is inside driver->step(). guards: mutex_
         bool stepping = false;
+        /// Search done, artifact being written off the lock; the job
+        /// turns kCompleted once it is durable. guards: mutex_
+        bool publishing = false;
         std::shared_ptr<std::atomic<bool>> cancel_flag;
         std::unique_ptr<ga::FitnessEvaluator> evaluator;
         std::unique_ptr<ga::GaDriver> driver;
@@ -308,7 +312,14 @@ class SearchService
     void stepJob(std::unique_lock<std::mutex> &lock, Job &job);
 
     /// @{ Terminal transitions (lock held).
-    void finalizeCompleted(Job &job);
+
+    /**
+     * Complete a job whose driver is done: retire it under the lock,
+     * drop the lock to insert its artifact into the store (encoding
+     * and disk I/O), then re-take it and publish kCompleted.
+     */
+    void finalizeCompleted(std::unique_lock<std::mutex> &lock,
+                           Job &job);
     void finalizeCancelled(Job &job);
     void finalizeFailed(Job &job, const std::string &error);
     void finalizeCommon(Job &job, JobEvent event);

@@ -12,10 +12,13 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -24,6 +27,7 @@
 #include "ga/ga_engine.h"
 #include "isa/kernel.h"
 #include "isa/pool.h"
+#include "platform/platform.h"
 #include "service/artifact_store.h"
 #include "service/job.h"
 #include "service/scheduler.h"
@@ -276,6 +280,75 @@ TEST(JobModel, PresetNamesRoundTrip)
     }
     PlatformPreset out;
     EXPECT_FALSE(presetFromName("vax", out));
+}
+
+constexpr PlatformPreset kAllPresets[] = {PlatformPreset::kJunoA72,
+                                          PlatformPreset::kJunoA53,
+                                          PlatformPreset::kAthlon};
+
+TEST(JobModel, PresetConfigIsOneSharedInstancePerPreset)
+{
+    // Racing first uses from 8 threads (first in this process when the
+    // test runs alone) must all see one instance per preset.
+    constexpr std::size_t kThreads = 8;
+    constexpr std::size_t kPresets = std::size(kAllPresets);
+    std::vector<const platform::PlatformConfig *> seen(
+        kThreads * kPresets, nullptr);
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t)
+        threads.emplace_back([&seen, t] {
+            for (std::size_t p = 0; p < kPresets; ++p)
+                seen[t * kPresets + p] = &presetConfig(kAllPresets[p]);
+        });
+    for (std::thread &th : threads)
+        th.join();
+    for (std::size_t p = 0; p < kPresets; ++p) {
+        const platform::PlatformConfig *first = &presetConfig(
+            kAllPresets[p]);
+        EXPECT_EQ(&presetConfig(kAllPresets[p]), first);
+        for (std::size_t t = 0; t < kThreads; ++t)
+            EXPECT_EQ(seen[t * kPresets + p], first)
+                << presetName(kAllPresets[p]) << " thread " << t;
+    }
+    EXPECT_NE(&presetConfig(PlatformPreset::kJunoA72),
+              &presetConfig(PlatformPreset::kJunoA53));
+}
+
+TEST(JobModel, PresetConfigMatchesFreshCalibration)
+{
+    const platform::PlatformConfig fresh[] = {
+        platform::junoA72Config(), platform::junoA53Config(),
+        platform::athlonConfig()};
+    for (std::size_t i = 0; i < std::size(kAllPresets); ++i) {
+        const platform::PlatformConfig &shared =
+            presetConfig(kAllPresets[i]);
+        SCOPED_TRACE(presetName(kAllPresets[i]));
+        EXPECT_EQ(shared.name, fresh[i].name);
+        EXPECT_EQ(shared.isa, fresh[i].isa);
+        EXPECT_EQ(bits(shared.f_max_hz), bits(fresh[i].f_max_hz));
+        EXPECT_EQ(bits(shared.v_nom), bits(fresh[i].v_nom));
+        // The calibrated die tank, bit for bit.
+        const pdn::PdnParameters &a = shared.pdn;
+        const pdn::PdnParameters &b = fresh[i].pdn;
+        EXPECT_EQ(a.n_cores, b.n_cores);
+        EXPECT_EQ(bits(a.r_die), bits(b.r_die));
+        EXPECT_EQ(bits(a.c_die_core), bits(b.c_die_core));
+        EXPECT_EQ(bits(a.c_die_uncore), bits(b.c_die_uncore));
+        EXPECT_EQ(bits(a.l_pkg_die), bits(b.l_pkg_die));
+        EXPECT_EQ(bits(a.v_nom), bits(b.v_nom));
+    }
+}
+
+TEST(JobModel, PresetPoolMatchesPlatformPool)
+{
+    for (const PlatformPreset p : kAllPresets) {
+        const platform::Platform plat(presetConfig(p), 42);
+        EXPECT_EQ(presetPool(p).isa(), plat.pool().isa())
+            << presetName(p);
+        EXPECT_EQ(presetPool(p).toXmlString(),
+                  plat.pool().toXmlString())
+            << presetName(p);
+    }
 }
 
 // ---------------------------------------------------------------
@@ -678,6 +751,78 @@ TEST(ArtifactStoreDisk, FetchRefreshPersistsLruAcrossRestart)
     EXPECT_EQ(reborn.size(), 1u); // idle 2 < ttl, thanks to refresh
     reborn.advanceEpoch();
     EXPECT_EQ(reborn.size(), 0u);
+    std::filesystem::remove_all(config.spill_dir);
+}
+
+/** Files under `dir` (not recursive) whose name ends in ".tmp". */
+std::size_t
+countTempFiles(const std::string &dir)
+{
+    std::size_t n = 0;
+    for (const auto &entry : std::filesystem::directory_iterator(dir))
+        if (entry.path().extension() == ".tmp")
+            ++n;
+    return n;
+}
+
+TEST(ArtifactStoreDisk, ScanDeletesOrphanedTempFiles)
+{
+    ArtifactStore::Config config;
+    config.spill_dir = spillDir("orphan_tmp");
+    {
+        ArtifactStore store(config);
+        store.insert(1, std::make_shared<const JobResult>());
+    }
+    // A crash between writing a temp and renaming it leaves the temp.
+    std::ofstream(std::filesystem::path(config.spill_dir)
+                  / "0000000000000002.artifact.7.tmp")
+        << "torn";
+    ASSERT_EQ(countTempFiles(config.spill_dir), 1u);
+    ArtifactStore reborn(config);
+    EXPECT_EQ(countTempFiles(config.spill_dir), 0u);
+    EXPECT_EQ(reborn.size(), 1u);
+    EXPECT_EQ(reborn.stats().spill_quarantined, 0u);
+    std::filesystem::remove_all(config.spill_dir);
+}
+
+/**
+ * Inserts, fetches, TTL evictions and invalidations of a handful of
+ * fingerprints from several threads at once: whatever the
+ * interleaving, the disk tier ends consistent with the index — no
+ * I/O errors, no stray temps, and a restart quarantines nothing.
+ */
+TEST(ArtifactStoreDisk, ConcurrentWritersAndEvictionsStayConsistent)
+{
+    ArtifactStore::Config config;
+    config.spill_dir = spillDir("concurrent");
+    config.ttl_epochs = 2;
+    constexpr std::uint64_t kFingerprints = 4;
+    {
+        ArtifactStore store(config);
+        std::vector<std::thread> threads;
+        for (std::uint64_t t = 0; t < 4; ++t)
+            threads.emplace_back([&store, t] {
+                for (std::uint64_t i = 0; i < 200; ++i) {
+                    const std::uint64_t fp = 1 + (i + t) % kFingerprints;
+                    store.insert(fp, std::make_shared<const JobResult>());
+                    (void)store.fetch(1 + (i * 3 + t) % kFingerprints);
+                    store.advanceEpoch();
+                    if ((i + t) % 7 == 0)
+                        store.invalidate(fp);
+                }
+            });
+        for (std::thread &th : threads)
+            th.join();
+        EXPECT_EQ(store.stats().spill_errors, 0u);
+        EXPECT_EQ(store.stats().spill_quarantined, 0u);
+        EXPECT_EQ(countTempFiles(config.spill_dir), 0u);
+    }
+    ArtifactStore reborn(config);
+    EXPECT_EQ(reborn.stats().spill_quarantined, 0u);
+    for (std::uint64_t fp = 1; fp <= kFingerprints; ++fp)
+        (void)reborn.fetch(fp); // every indexed pair loads
+    EXPECT_EQ(reborn.stats().spill_quarantined, 0u);
+    EXPECT_EQ(reborn.stats().disk_hits, reborn.stats().spill_indexed);
     std::filesystem::remove_all(config.spill_dir);
 }
 
@@ -1213,6 +1358,107 @@ TEST(ServiceDeterminism, RunnerThreadsProduceIdenticalBits)
         expectBitIdentical(result->ga, direct[i],
                            presetPool(specs[i].platform));
     }
+}
+
+// ---------------------------------------------------------------
+// Crash-safe completion: kCompleted follows the durable write.
+// ---------------------------------------------------------------
+
+TEST(SearchService, CompletionEventFollowsDurableSpill)
+{
+    namespace fs = std::filesystem;
+    ServiceConfig config = manualConfig();
+    config.artifacts.spill_dir = spillDir("completion_order");
+    SearchService svc(config);
+    const JobSpec spec = smallSpec(61);
+    const Submission sub = svc.submit(spec);
+    ASSERT_TRUE(sub.accepted);
+
+    char stem[17];
+    std::snprintf(stem, sizeof stem, "%016llx",
+                  static_cast<unsigned long long>(jobFingerprint(spec)));
+    const fs::path root(config.artifacts.spill_dir);
+    const fs::path artifact_path = root / (std::string(stem) + ".artifact");
+    const fs::path meta_path = root / (std::string(stem) + ".meta");
+
+    // A client blocked on the event stream inspects the disk the
+    // moment kCompleted reaches it, while this thread pumps the job.
+    std::shared_ptr<const JobResult> completed;
+    bool artifact_on_disk = false, meta_on_disk = false;
+    std::size_t temps_on_disk = 1;
+    std::thread client([&] {
+        for (;;) {
+            const JobEvent ev = svc.waitEvent(sub.id);
+            if (ev.type != JobEventType::kCompleted)
+                continue;
+            artifact_on_disk = fs::exists(artifact_path);
+            meta_on_disk = fs::exists(meta_path);
+            temps_on_disk = countTempFiles(root.string());
+            completed = ev.result;
+            return;
+        }
+    });
+    svc.drainManual();
+    client.join();
+    ASSERT_NE(completed, nullptr);
+    EXPECT_TRUE(artifact_on_disk);
+    EXPECT_TRUE(meta_on_disk);
+    EXPECT_EQ(temps_on_disk, 0u);
+
+    // A fresh store over the directory (a daemon restarted right
+    // after the client saw kCompleted) serves the same bytes.
+    ArtifactStore reborn(config.artifacts);
+    const auto served = reborn.fetch(jobFingerprint(spec));
+    ASSERT_NE(served, nullptr);
+    EXPECT_EQ(reborn.stats().disk_hits, 1u);
+    const isa::InstructionPool &pool = presetPool(spec.platform);
+    WireWriter a, b;
+    encodeJobResult(a, *served, pool);
+    encodeJobResult(b, *completed, pool);
+    EXPECT_EQ(a.bytes(), b.bytes());
+    expectBitIdentical(served->ga, completed->ga, pool);
+    fs::remove_all(config.artifacts.spill_dir);
+}
+
+/**
+ * Pairs of identical specs submitted back to back both miss the store
+ * and complete at about the same time on different runners, so their
+ * spills of one fingerprint race each other — and, with a one-epoch
+ * TTL, the evictions other completions trigger.
+ */
+TEST(SearchService, ConcurrentDuplicateCompletionsUnderTtlStayConsistent)
+{
+    ServiceConfig config = manualConfig(2);
+    config.runners = 4;
+    config.artifacts.spill_dir = spillDir("dup_race");
+    config.artifacts.ttl_epochs = 2;
+    std::vector<JobSpec> specs;
+    for (std::uint64_t s = 0; s < 12; ++s)
+        specs.push_back(smallSpec(400 + s / 2, s % 2 ? "odd" : "even"));
+    {
+        SearchService svc(config);
+        std::vector<JobId> ids;
+        for (const JobSpec &spec : specs) {
+            const Submission sub = svc.submit(spec);
+            ASSERT_TRUE(sub.accepted);
+            ids.push_back(sub.id);
+        }
+        for (std::size_t i = 0; i < ids.size(); ++i) {
+            ASSERT_EQ(svc.waitTerminal(ids[i]), JobState::kCompleted);
+            expectBitIdentical(svc.result(ids[i])->ga,
+                               directRun(specs[i], &syntheticFactory),
+                               presetPool(specs[i].platform));
+        }
+        EXPECT_EQ(svc.artifacts().stats().spill_errors, 0u);
+        EXPECT_EQ(countTempFiles(config.artifacts.spill_dir), 0u);
+    }
+    ArtifactStore reborn(config.artifacts);
+    EXPECT_EQ(reborn.stats().spill_quarantined, 0u);
+    for (const JobSpec &spec : specs)
+        (void)reborn.fetch(jobFingerprint(spec));
+    EXPECT_EQ(reborn.stats().spill_quarantined, 0u);
+    EXPECT_EQ(reborn.stats().disk_hits, reborn.stats().spill_indexed);
+    std::filesystem::remove_all(config.artifacts.spill_dir);
 }
 
 } // namespace
