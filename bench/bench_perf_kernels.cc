@@ -2,9 +2,10 @@
  * @file
  * google-benchmark microbenchmarks for the simulation hot paths: the
  * FFT, the PDN transient step loop, the core model, the antenna
- * coupling and one full GA fitness evaluation. These bound the cost
- * of a GA search (evaluations/second) the way measurement latency
- * bounds the paper's physical flow.
+ * coupling, one full GA fitness evaluation and one V_MIN ladder row.
+ * These bound the cost of a GA search (evaluations/second) and of a
+ * V_MIN campaign the way measurement latency bounds the paper's
+ * physical flow.
  */
 
 #include <sys/resource.h>
@@ -14,11 +15,13 @@
 #include "bench_util.h"
 #include "core/fitness.h"
 #include "core/resonant_kernel.h"
+#include "core/vmin_tester.h"
 #include "dsp/fft.h"
 #include "dsp/spectrum.h"
 #include "em/antenna.h"
 #include "platform/platform.h"
 #include "util/rng.h"
+#include "workloads/workload.h"
 
 using namespace emstress;
 
@@ -133,6 +136,40 @@ BM_PlatformStreamMeanPass(benchmark::State &state)
     }
 }
 BENCHMARK(BM_PlatformStreamMeanPass);
+
+/**
+ * One V_MIN profile row (Fig. 10 SPEC-like workload, 2 repeats): the
+ * full-issue-width stream's core run, the window-only PDN run and the
+ * scalar ladder.
+ */
+void
+BM_VminProfileRow(benchmark::State &state)
+{
+    platform::Platform a72(platform::junoA72Config(), 1);
+    core::VminTester tester(a72, core::defaultVminConfig(a72));
+    const auto profile = workloads::findProfile(
+        workloads::spec2006Suite(), "perlbench");
+    for (auto _ : state)
+        benchmark::DoNotOptimize(tester.testWorkload(profile, 2));
+}
+BENCHMARK(BM_VminProfileRow)->Unit(benchmark::kMillisecond);
+
+/**
+ * One V_MIN virus row: a kernel at the A72's 67 MHz resonance, 30
+ * repeats per voltage point (streamed nominal run + scalar ladder).
+ */
+void
+BM_VminResonantRow(benchmark::State &state)
+{
+    platform::Platform a72(platform::junoA72Config(), 1);
+    core::VminTester tester(a72, core::defaultVminConfig(a72));
+    const auto kernel =
+        core::makeResonantKernelFor(a72.pool(), 1.2e9, 67e6);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(
+            tester.testKernel("resonant", kernel, 30));
+}
+BENCHMARK(BM_VminResonantRow)->Unit(benchmark::kMillisecond);
 
 /** Process peak RSS high-water mark in MiB. */
 double

@@ -5,10 +5,12 @@
 
 #include "core/vmin_tester.h"
 
-#include <cmath>
+#include <algorithm>
+#include <limits>
 
 #include "util/error.h"
-#include "util/stats.h"
+#include "util/metrics.h"
+#include "util/rng.h"
 
 namespace emstress {
 namespace core {
@@ -54,6 +56,8 @@ VminTester::testKernel(const std::string &name,
                        const isa::Kernel &kernel, std::size_t repeats,
                        double run_seconds)
 {
+    // Observability only: the span never feeds the row.
+    metrics::ScopedPhase span("vmin.row");
     // Only the die voltage feeds the characterization: stream it into
     // a single trace sink instead of materializing all three batch
     // waveforms.
@@ -74,7 +78,10 @@ VminRow
 VminTester::testWorkload(const workloads::WorkloadProfile &profile,
                          std::size_t repeats, double run_seconds)
 {
-    // Size the stream to cover the simulated window at full issue.
+    // Observability only: the span never feeds the row.
+    metrics::ScopedPhase span("vmin.row");
+    // Size the stream to cover the simulated window at full issue
+    // (runStream steps the PDN only through the window).
     const double f = plat_.frequency();
     const auto length = static_cast<std::size_t>(
         (config_.duration_s + 1.0e-6) * f
@@ -96,26 +103,25 @@ VminTester::characterizeFromNominal(const std::string &name,
 {
     const double v_nom = plat_.voltage();
 
-    // Droop waveform relative to the nominal supply.
-    std::vector<double> droop(v_die_nominal.size());
-    for (std::size_t i = 0; i < droop.size(); ++i)
-        droop[i] = v_nom - v_die_nominal[i];
+    // The deepest droop below the nominal supply: the one feature of
+    // the waveform a run's minimum depends on.
+    double max_droop = -std::numeric_limits<double>::infinity();
+    for (double v : v_die_nominal.samples())
+        max_droop = std::max(max_droop, v_nom - v);
 
-    // Per-(voltage, repeat) synthesis: linear PDN + current ~ V means
-    // the deviation waveform scales with V/V_nom; jitter models
-    // run-to-run alignment differences.
-    Rng jitter_rng(config_.seed ^ std::hash<std::string>{}(name));
+    // Per-(voltage, repeat) runs: linear PDN + current ~ V means the
+    // deviation waveform scales with V/V_nom; jitter models run-to-run
+    // alignment differences. A run's die voltage is
+    // v_supply - droop[i] * scale with scale >= 0, and both roundings
+    // are monotone, so its minimum is v_supply - max_droop * scale
+    // bit for bit: no run synthesizes a waveform.
+    Rng jitter_rng(config_.seed ^ stringHash(name));
     const double jitter_rel = config_.droop_jitter_rel;
-    const Trace &base = v_die_nominal;
-    auto runner = [&droop, &base, v_nom, jitter_rel, &jitter_rng](
-                      double v_supply, std::size_t) -> Trace {
+    auto runner = [max_droop, v_nom, jitter_rel, &jitter_rng](
+                      double v_supply, std::size_t) {
         const double scale = v_supply / v_nom
             * std::max(0.0, jitter_rng.gaussian(1.0, jitter_rel));
-        Trace out(base.dt());
-        out.reserve(droop.size());
-        for (double d : droop)
-            out.push(v_supply - d * scale);
-        return out;
+        return v_supply - max_droop * scale;
     };
 
     vmin::TimingModel timing(config_.timing);

@@ -8,9 +8,16 @@
  * Implementation note: the PDN is linear and the CPU current demand
  * scales proportionally with supply voltage, so the noise waveform at
  * supply V is the nominal-voltage waveform scaled by V/V_nom. Each
- * voltage/repeat run is synthesized from one nominal simulation with
- * a small per-repeat droop jitter (phase alignment, temperature),
+ * voltage/repeat run is derived from one nominal simulation with a
+ * small per-repeat droop jitter (phase alignment, temperature),
  * making 30-repeat searches cheap while preserving the statistics.
+ * The failure model reads only a run's minimum die voltage, and the
+ * scaling is monotone, so the nominal waveform is reduced to its
+ * deepest droop once and each run is the scalar
+ * v_supply - max_droop * scale — bit-identical to the minimum of the
+ * scaled waveform. The per-row jitter stream is keyed with the
+ * portable stringHash of the row name, so rows draw the same jitter
+ * under any standard library.
  */
 
 #ifndef EMSTRESS_CORE_VMIN_TESTER_H

@@ -502,6 +502,8 @@ PlatformRunResult
 Platform::runStream(std::span<const isa::Instruction> stream,
                     double duration_s, std::size_t active_cores) const
 {
+    // Observability only: the span never feeds the run.
+    metrics::ScopedPhase span("platform.run_stream");
     auto run = core_.runStream(pool_, stream, f_clk_);
     requireConfig(run.current.duration() >= duration_s + kSettleTime,
                   "instruction stream too short for the requested "
@@ -606,22 +608,50 @@ Platform::finishRun(const uarch::CoreRunResult &core_run,
     }
 
     const Trace i_load = total.resampleZeroOrderHold(kPdnDt);
-    auto sim = pdn_->simulate(i_load, nullptr, pulseWave());
 
     // Discard the settle lead-in.
     std::size_t settle_steps =
         static_cast<std::size_t>(kSettleTime / kPdnDt);
-    if (settle_steps >= sim.v_die.size())
+    if (settle_steps >= i_load.size())
         settle_steps = 0;
     const std::size_t want =
         static_cast<std::size_t>(duration_s / kPdnDt);
-    const std::size_t avail = sim.v_die.size() - settle_steps;
-    const std::size_t n = std::min(want, avail);
+    const std::size_t n = std::min(want, i_load.size() - settle_steps);
     requireSim(n >= 16, "run produced too few PDN samples");
 
-    PlatformRunResult out{sim.v_die.slice(settle_steps, n),
-                          sim.i_die.slice(settle_steps, n),
-                          Trace(kPdnDt), core_run.stats};
+    // Step the PDN only as far as the observed window reaches. Output
+    // k is transient step k + 1, so the window ends at step
+    // settle + n. Rounding that up to whole kStreamBlock blocks keeps
+    // every window step inside a full block fed its true load sample:
+    // the clamped final step of the shortened stream lands in a tail
+    // block of its own, past the window. A tail-block stepBlock call
+    // rounds differently from a full block, so an unaligned cut would
+    // move bits. The DC bias stays the mean of the whole load.
+    constexpr std::size_t kBlock = circuit::kStreamBlock;
+    const std::size_t last_step =
+        (settle_steps + n + kBlock - 1) / kBlock * kBlock;
+    const std::size_t keep = std::min(i_load.size(), last_step + 1);
+    metrics::Registry::instance().add("platform.run_stream.pdn_steps",
+                                      keep);
+    double mean_load = 0.0;
+    for (double v : i_load.samples())
+        mean_load += v;
+    mean_load /= static_cast<double>(i_load.size());
+
+    TraceSink v_die(kPdnDt);
+    TraceSink i_die(kPdnDt);
+    v_die.reserve(n);
+    i_die.reserve(n);
+    SliceSink v_slice(v_die, settle_steps, n);
+    SliceSink i_slice(i_die, settle_steps, n);
+    pdn::PdnStreamSink pdn_sink = pdn_->streamSim(
+        kPdnDt, mean_load, &v_slice, &i_slice, pulseWave());
+    for (std::size_t k = 0; k < keep; ++k)
+        pdn_sink.push(i_load[k]);
+    pdn_sink.finish();
+
+    PlatformRunResult out{v_die.take(), i_die.take(), Trace(kPdnDt),
+                          core_run.stats};
     out.em = antenna_.receive(out.i_die, config_.antenna_distance_m);
     return out;
 }

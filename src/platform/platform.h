@@ -226,10 +226,11 @@ class Platform
 
     /**
      * Batch-trace implementation of runKernel: sums staggered core
-     * traces, resamples, runs the whole-trace PDN transient, then
-     * couples the antenna. The tests' parity oracle for the
-     * streaming path only — no measurement uses it; runKernel itself
-     * streams into trace sinks and returns bit-identical waveforms.
+     * traces, resamples, runs the PDN transient over the window
+     * (finishRun, shared with runStream), then couples the antenna.
+     * The tests' parity oracle for the streaming path only — no
+     * measurement uses it; runKernel itself streams into trace sinks
+     * and returns bit-identical waveforms.
      */
     PlatformRunResult runKernelBatch(const isa::Kernel &kernel,
                                      double duration_s,
@@ -279,7 +280,13 @@ class Platform
 
     /**
      * Run a finite instruction stream (synthetic benchmark) on active
-     * cores.
+     * cores. The core simulates the whole stream (the stagger spans
+     * it and the PDN's DC bias is its mean load), but the PDN steps
+     * only through the settle lead-in and the observed window,
+     * rounded up to whole transient blocks: a stream sized for full
+     * issue width can run ten times longer than the window, and the
+     * samples past it are never read. The result is bit-identical to
+     * stepping the whole load.
      */
     PlatformRunResult
     runStream(std::span<const isa::Instruction> stream,
@@ -302,8 +309,9 @@ class Platform
   private:
     /**
      * Common tail of a run: sum active-core instances (staggered by
-     * stagger_s), add idle-core leakage, drive the PDN, strip the
-     * settle lead-in and couple the antenna.
+     * stagger_s), add idle-core leakage, drive the PDN through the
+     * streaming stepper up to the block-aligned end of the window,
+     * strip the settle lead-in and couple the antenna.
      */
     PlatformRunResult
     finishRun(const uarch::CoreRunResult &core_run, double duration_s,

@@ -19,9 +19,11 @@
 
 #include <array>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <random>
 #include <span>
+#include <string_view>
 
 #include "util/error.h"
 #include "util/units.h"
@@ -41,7 +43,8 @@ namespace emstress {
  * noise, drawn for in-band bins only. The Rng stream draws moved
  * from std distributions to this file in version 2 without changing
  * a single realization (they reproduce the algorithms libstdc++
- * used), so they need no bump of their own.
+ * used), so they need no bump of their own; nor did the V_MIN jitter
+ * key's move from std::hash to stringHash, which reproduces it.
  */
 inline constexpr int kNoiseModelVersion = 2;
 
@@ -67,6 +70,43 @@ inline std::uint64_t
 mixSeed(std::uint64_t a, std::uint64_t b)
 {
     return mixSeed(a ^ mixSeed(b));
+}
+
+/**
+ * Portable 64-bit hash of a string, for seeds keyed by a name. It is
+ * libstdc++'s 64-bit std::hash<std::string> (std::_Hash_bytes, a
+ * MurmurHash64A variant with seed 0xc70f6907), restated here with
+ * explicit little-endian word loads so it gives the same value under
+ * any standard library and byte order; seeds keyed with std::hash on
+ * libstdc++ hosts keep their realizations. std::hash itself is
+ * implementation-defined, and emstress-lint R1 rejects it in src/.
+ */
+inline std::uint64_t
+stringHash(std::string_view bytes)
+{
+    constexpr std::uint64_t mul = 0xc6a4a7935bd1e995ull;
+    // Bytes [at, at + count) as a little-endian word, count <= 8.
+    const auto load = [bytes](std::size_t at, std::size_t count) {
+        std::uint64_t word = 0;
+        for (std::size_t b = count; b-- > 0;)
+            word = (word << 8)
+                | static_cast<unsigned char>(bytes[at + b]);
+        return word;
+    };
+    const auto shiftMix = [](std::uint64_t v) { return v ^ (v >> 47); };
+    const std::size_t len = bytes.size();
+    const std::size_t aligned = len & ~std::size_t{7};
+    std::uint64_t hash =
+        0xc70f6907ull ^ (static_cast<std::uint64_t>(len) * mul);
+    for (std::size_t at = 0; at < aligned; at += 8) {
+        hash ^= shiftMix(load(at, 8) * mul) * mul;
+        hash *= mul;
+    }
+    if (len != aligned) {
+        hash ^= load(aligned, len - aligned);
+        hash *= mul;
+    }
+    return shiftMix(shiftMix(hash) * mul);
 }
 
 /** Top 53 bits of a random word as a double in [0, 1). */

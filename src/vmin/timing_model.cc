@@ -8,7 +8,6 @@
 #include <cmath>
 
 #include "util/error.h"
-#include "util/stats.h"
 
 namespace emstress {
 namespace vmin {
@@ -78,11 +77,8 @@ FailureModel::FailureModel(const FailureModelParams &params,
 }
 
 RunOutcome
-FailureModel::classify(const Trace &v_die, double f_clk_hz,
-                       Rng &rng) const
+FailureModel::classify(double v_min, double v_crit, Rng &rng) const
 {
-    const double v_min = stats::minimum(v_die.samples());
-    const double v_crit = timing_.vCrit(f_clk_hz);
     const double slack = v_min - v_crit;
     if (slack < 0.0)
         return RunOutcome::SystemCrash;

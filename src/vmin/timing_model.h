@@ -14,7 +14,6 @@
 #define EMSTRESS_VMIN_TIMING_MODEL_H
 
 #include "util/rng.h"
-#include "util/trace.h"
 #include "util/units.h"
 
 namespace emstress {
@@ -88,7 +87,9 @@ struct FailureModelParams
 };
 
 /**
- * Classify one execution from its die-voltage waveform.
+ * Classify one execution from the lowest die voltage it reached: a
+ * timing failure depends only on the deepest excursion below the
+ * critical voltage, never on the rest of the waveform.
  */
 class FailureModel
 {
@@ -97,14 +98,17 @@ class FailureModel
     FailureModel(const FailureModelParams &params,
                  const TimingModel &timing);
 
+    /** The timing model the classifier closes against. */
+    const TimingModel &timing() const { return timing_; }
+
     /**
      * Classify an execution.
-     * @param v_die    Die-voltage waveform during the run.
-     * @param f_clk_hz Clock frequency of the run.
-     * @param rng      Randomness for within-band SDC manifestation.
+     * @param v_min  Lowest die voltage during the run.
+     * @param v_crit Critical voltage at the run's clock
+     *               (TimingModel::vCrit); a search computes it once.
+     * @param rng    Randomness for within-band SDC manifestation.
      */
-    RunOutcome classify(const Trace &v_die, double f_clk_hz,
-                        Rng &rng) const;
+    RunOutcome classify(double v_min, double v_crit, Rng &rng) const;
 
   private:
     FailureModelParams params_;

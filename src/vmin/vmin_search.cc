@@ -6,7 +6,6 @@
 #include "vmin/vmin_search.h"
 
 #include "util/error.h"
-#include "util/stats.h"
 
 namespace emstress {
 namespace vmin {
@@ -25,14 +24,14 @@ VminResult
 VminSearch::characterize(const WorkloadRunner &runner, double f_clk_hz)
 {
     VminResult result;
+    // Every run of the row shares one clock, hence one critical
+    // voltage.
+    const double v_crit = failure_.timing().vCrit(f_clk_hz);
 
     // Record the nominal-voltage droop for reporting (Fig. 10's red
     // curve) from the first repeat at the start voltage.
-    {
-        const Trace v0 = runner(config_.v_start, 0);
-        result.max_droop_nominal =
-            config_.v_start - stats::minimum(v0.samples());
-    }
+    result.max_droop_nominal =
+        config_.v_start - runner(config_.v_start, 0);
 
     // Integer-indexed sweep (lint R3): each test voltage is
     // recomputed as start - i*step, so the visited grid is a pure
@@ -45,10 +44,10 @@ VminSearch::characterize(const WorkloadRunner &runner, double f_clk_hz)
         if (!(v > config_.v_floor))
             break;
         for (std::size_t rep = 0; rep < config_.repeats; ++rep) {
-            const Trace v_die = runner(v, rep);
+            const double v_min = runner(v, rep);
             ++result.runs_executed;
             const RunOutcome outcome =
-                failure_.classify(v_die, f_clk_hz, rng_);
+                failure_.classify(v_min, v_crit, rng_);
             if (isFailure(outcome)) {
                 // Paper reports the highest voltage at which any
                 // deviation from nominal execution is observed.

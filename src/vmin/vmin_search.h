@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "util/rng.h"
-#include "util/trace.h"
 #include "vmin/timing_model.h"
 
 namespace emstress {
@@ -32,11 +31,12 @@ struct VminSearchConfig
 
 /**
  * A workload execution oracle: given a supply voltage and a repeat
- * index, produce the die-voltage waveform of one run. The repeat
- * index lets implementations vary phase alignment / noise per run.
+ * index, return the lowest die voltage of one run — all the failure
+ * model reads of it. The repeat index lets implementations vary
+ * phase alignment / noise per run.
  */
 using WorkloadRunner =
-    std::function<Trace(double v_supply, std::size_t repeat)>;
+    std::function<double(double v_supply, std::size_t repeat)>;
 
 /** Result of one workload's V_MIN characterization. */
 struct VminResult

@@ -8,9 +8,13 @@
  */
 
 #include <cmath>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "batch_oracle.h"
 #include "core/fitness.h"
 #include "core/multidomain.h"
 #include "core/resonance_explorer.h"
@@ -19,6 +23,9 @@
 #include "core/vmin_tester.h"
 #include "pdn/resonance.h"
 #include "util/error.h"
+#include "util/metrics.h"
+#include "util/rng.h"
+#include "util/stats.h"
 #include "util/units.h"
 
 namespace emstress {
@@ -338,6 +345,143 @@ TEST(VminTesterTest, LabTimeAccountingMatchesRunsAndDurations)
                   / static_cast<double>(bench_row.runs),
               5.0 * virus_row.lab_seconds
                   / static_cast<double>(virus_row.runs));
+}
+
+/** A72 V_MIN set-up at the probe loop's resonant clock. */
+struct VminBench
+{
+    platform::Platform a72{platform::junoA72Config(), 3};
+    VminTestConfig cfg;
+    isa::Kernel probe;
+
+    VminBench()
+    {
+        a72.setFrequency(560e6);
+        cfg = defaultVminConfig(a72);
+        cfg.duration_s = 2e-6;
+        probe = ResonanceExplorer::probeLoop(a72.pool());
+    }
+};
+
+TEST(VminTesterTest, RunsAndLabSecondsFollowTheLadder)
+{
+    // Runs are spent `repeats` per voltage point until the first
+    // failure; V_MIN is the point where it happened, and lab time is
+    // run_seconds per run plus 20 s per visited point.
+    VminBench b;
+    VminTester tester(b.a72, b.cfg);
+    const auto suite = workloads::spec2006Suite();
+    for (const auto &[row, repeats, run_s] :
+         {std::tuple{tester.testKernel("probe", b.probe, 3, 15.0),
+                     std::size_t{3}, 15.0},
+          std::tuple{tester.testWorkload(
+                         workloads::findProfile(suite, "milc"), 2),
+                     std::size_t{2}, 300.0}}) {
+        SCOPED_TRACE(row.workload);
+        ASSERT_NE(row.failure, "pass");
+        const std::size_t points = (row.runs + repeats - 1) / repeats;
+        EXPECT_GT(row.runs, (points - 1) * repeats);
+        EXPECT_LE(row.runs, points * repeats);
+        EXPECT_EQ(row.vmin_v,
+                  b.cfg.search.v_start
+                      - static_cast<double>(points - 1)
+                          * b.cfg.search.v_step);
+        EXPECT_EQ(row.margin_v, b.a72.voltage() - row.vmin_v);
+        EXPECT_EQ(row.lab_seconds,
+                  static_cast<double>(row.runs) * run_s
+                      + static_cast<double>(points) * 20.0);
+    }
+}
+
+TEST(VminTesterTest, ZeroJitterMaxDroopIsTheNominalDroop)
+{
+    // Without jitter the nominal run is the nominal waveform itself,
+    // so the reported droop is v_nom minus its minimum.
+    VminBench b;
+    b.cfg.droop_jitter_rel = 0.0;
+    VminTester tester(b.a72, b.cfg);
+    const auto row = tester.testKernel("probe", b.probe, 2);
+    const Trace v_die =
+        b.a72.runKernel(b.probe, b.cfg.duration_s).v_die;
+    const double v_nom = b.a72.voltage();
+    EXPECT_DOUBLE_EQ(row.max_droop_v,
+                     v_nom - stats::minimum(v_die.samples()));
+    EXPECT_GT(row.max_droop_v, 0.0);
+}
+
+TEST(VminTesterTest, ClampedZeroScaleRunSitsAtTheSupply)
+{
+    // A jitter draw below zero clamps the droop scale to 0: that run
+    // sees the bare supply. Pick a row name whose first draw (the
+    // nominal-droop run) clamps; its droop then reads exactly 0, and
+    // the ladder, where one run in six clamps, still matches the
+    // waveform-synthesizing oracle bit for bit.
+    VminBench b;
+    b.cfg.droop_jitter_rel = 1.0;
+    std::string name;
+    for (int i = 0; name.empty(); ++i) {
+        const std::string candidate = "clamped-" + std::to_string(i);
+        Rng first(b.cfg.seed ^ stringHash(candidate));
+        if (first.gaussian(1.0, b.cfg.droop_jitter_rel) < 0.0)
+            name = candidate;
+    }
+    VminTester tester(b.a72, b.cfg);
+    const auto row = tester.testKernel(name, b.probe, 30);
+    EXPECT_EQ(row.max_droop_v, 0.0);
+
+    const Trace nominal =
+        b.a72.runKernel(b.probe, b.cfg.duration_s).v_die;
+    const auto want =
+        traceLadderRow(name, nominal, b.a72.voltage(),
+                       b.a72.frequency(), b.cfg, 30, 15.0);
+    EXPECT_EQ(row.vmin_v, want.vmin_v);
+    EXPECT_EQ(row.failure, want.failure);
+    EXPECT_EQ(row.runs, want.runs);
+    EXPECT_EQ(row.lab_seconds, want.lab_seconds);
+}
+
+TEST(VminTesterTest, HigherDroopKernelFailsAtLeastAsHigh)
+{
+    VminBench b;
+    VminTester tester(b.a72, b.cfg);
+    Rng rng(11);
+    const auto quiet = isa::Kernel::random(b.a72.pool(), 24, rng);
+    const auto resonant_row = tester.testKernel("k", b.probe, 30);
+    const auto quiet_row = tester.testKernel("k", quiet, 30);
+    ASSERT_GT(resonant_row.max_droop_v, quiet_row.max_droop_v);
+    EXPECT_GE(resonant_row.vmin_v, quiet_row.vmin_v);
+}
+
+TEST(VminTesterTest, RowsBitIdenticalWithMetricsOnAndOff)
+{
+    // Metrics are write-only (DESIGN.md §11): the vmin.row and
+    // platform.run_stream spans and the PDN step counter record the
+    // rows without moving them.
+    const bool was_enabled = metrics::enabled();
+    const auto suite = workloads::spec2006Suite();
+    std::vector<VminRow> rows[2];
+    for (const bool on : {false, true}) {
+        metrics::setEnabled(on);
+        metrics::Registry::instance().reset();
+        VminBench b;
+        VminTester tester(b.a72, b.cfg);
+        rows[on].push_back(tester.testKernel("probe", b.probe, 30));
+        rows[on].push_back(tester.testWorkload(
+            workloads::findProfile(suite, "mcf"), 2));
+        const auto snap = metrics::Registry::instance().snapshot();
+        EXPECT_EQ(snap.phases.count("vmin.row"), on ? 1u : 0u);
+        EXPECT_EQ(snap.phases.count("platform.run_stream"),
+                  on ? 1u : 0u);
+        EXPECT_EQ(snap.counters.count("platform.run_stream.pdn_steps"),
+                  on ? 1u : 0u);
+    }
+    metrics::setEnabled(was_enabled);
+    for (std::size_t i = 0; i < rows[0].size(); ++i) {
+        EXPECT_EQ(rows[1][i].vmin_v, rows[0][i].vmin_v);
+        EXPECT_EQ(rows[1][i].max_droop_v, rows[0][i].max_droop_v);
+        EXPECT_EQ(rows[1][i].failure, rows[0][i].failure);
+        EXPECT_EQ(rows[1][i].runs, rows[0][i].runs);
+    }
 }
 
 TEST(VminTesterTest, DefaultConfigScalesWithPlatform)

@@ -74,6 +74,26 @@ TEST(LintR1, FlagsImplementationDefinedDistributions)
     EXPECT_EQ(countRule(other, "R1"), 0u);
 }
 
+TEST(LintR1, FlagsStdHash)
+{
+    // std::hash values are implementation-defined: a seed keyed with
+    // one moves under another standard library.
+    const auto f = lintCc(
+        "std::uint64_t s = std::hash<std::string>{}(name);\n"
+        "using H = std :: hash<int>;\n");
+    EXPECT_EQ(countRule(f, "R1"), 2u);
+    EXPECT_EQ(f[0].line, 1);
+    // No util/rng.h exemption, as for the distributions.
+    const auto home = analyzeSource(
+        "src/util/rng.h", "auto h = std::hash<int>{}(3);\n");
+    EXPECT_EQ(countRule(home, "R1"), 1u);
+    // Other hashes and lookalikes are not std::hash.
+    const auto other = lintCc("std::uint64_t hash = kernel.hash();\n"
+                              "auto h = emstress::stringHash(name);\n"
+                              "auto g = boost::hash<int>{}(1);\n");
+    EXPECT_EQ(countRule(other, "R1"), 0u);
+}
+
 TEST(LintR1, FlagsClocksAndGetenv)
 {
     const auto f =

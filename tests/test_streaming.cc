@@ -2,8 +2,9 @@
  * @file
  * Parity tests for the streaming measurement pipeline: the batch
  * trace path (runKernelBatch, SpectrumAnalyzer::sweep,
- * Oscilloscope::capture, and the BatchOracleFitness evaluator built
- * on them) serves as the oracle and the streaming sinks
+ * Oscilloscope::capture, the BatchOracleFitness evaluator built on
+ * them, and the whole-trace runStream and V_MIN ladder oracles)
+ * serves as the oracle and the streaming sinks
  * (streamKernel, SaBandDetector, ScopeCaptureSink) must agree with
  * it — exactly for waveforms and scope metrics, to within 1e-6 dB
  * for the Goertzel-vs-FFT band maximum — all the way up to identical
@@ -11,11 +12,13 @@
  */
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -24,6 +27,8 @@
 #include "core/fitness.h"
 #include "core/resonance_explorer.h"
 #include "core/virus_generator.h"
+#include "core/vmin_tester.h"
+#include "em/pulse_injector.h"
 #include "instruments/oscilloscope.h"
 #include "instruments/spectrum_analyzer.h"
 #include "platform/platform.h"
@@ -32,6 +37,7 @@
 #include "util/sample_sink.h"
 #include "util/trace.h"
 #include "util/units.h"
+#include "workloads/workload.h"
 
 namespace emstress {
 namespace core {
@@ -153,6 +159,181 @@ TEST(StreamingPlatform, ObserverFactorySeesRunGeometry)
     EXPECT_EQ(planned, batch.v_die.size());
     EXPECT_DOUBLE_EQ(plan_dt, platform::kPdnDt);
     expectTracesIdentical(v.trace(), batch.v_die);
+}
+
+// ---------------------------------------------------------------
+// V_MIN layer: runStream steps the PDN only through its window and
+// the ladder runs on one scalar per run; the whole-trace oracles
+// (batch_oracle.h) must agree bit for bit.
+// ---------------------------------------------------------------
+
+/** The matrix's V_MIN profile on a preset, from its own suite. */
+workloads::WorkloadProfile
+matrixProfile(const platform::PlatformConfig &cfg)
+{
+    return cfg.isa == isa::IsaFamily::ArmV8
+        ? workloads::findProfile(workloads::spec2006Suite(), "perlbench")
+        : workloads::findProfile(workloads::desktopSuite(), "blender");
+}
+
+constexpr double kMatrixDurations[] = {4e-6, 2e-6, 1e-6};
+
+/** Bit patterns equal: the Athlon's diverging transient reaches NaN. */
+void
+expectBitsEqual(double got, double want)
+{
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+              std::bit_cast<std::uint64_t>(want))
+        << got << " vs " << want;
+}
+
+void
+expectTracesBitIdentical(const Trace &a, const Trace &b)
+{
+    ASSERT_EQ(a.size(), b.size());
+    EXPECT_EQ(a.dt(), b.dt());
+    for (std::size_t i = 0; i < a.size(); ++i)
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(a[i]),
+                  std::bit_cast<std::uint64_t>(b[i]))
+            << "sample " << i << ": " << a[i] << " vs " << b[i];
+}
+
+/**
+ * runStream against wholeTraceRunStream for every powered / active
+ * core count and window length, on a stream sized the way VminTester
+ * sizes one (full issue width, so the trace runs far past the
+ * window).
+ */
+void
+expectRunStreamMatrix(const platform::PlatformConfig &cfg)
+{
+    platform::Platform plat(cfg, 7);
+    Rng gen(5);
+    const auto length = static_cast<std::size_t>(
+        5e-6 * plat.frequency()
+        * static_cast<double>(cfg.core.issue_width)) + 4096;
+    const auto stream = workloads::generateStream(
+        matrixProfile(cfg), plat.pool(), length, gen);
+    for (std::size_t powered = 1; powered <= cfg.n_cores; ++powered) {
+        plat.setPoweredCores(powered);
+        for (std::size_t active = 1; active <= powered; ++active) {
+            for (double d : kMatrixDurations) {
+                SCOPED_TRACE(cfg.name + " powered "
+                             + std::to_string(powered) + " active "
+                             + std::to_string(active) + " window "
+                             + std::to_string(d));
+                const auto want =
+                    wholeTraceRunStream(plat, stream, d, active);
+                const auto got = plat.runStream(stream, d, active);
+                expectTracesBitIdentical(got.v_die, want.v_die);
+                expectTracesBitIdentical(got.i_die, want.i_die);
+                expectTracesBitIdentical(got.em, want.em);
+                EXPECT_EQ(got.stats.cycles, want.stats.cycles);
+            }
+        }
+    }
+}
+
+void
+expectRowsIdentical(const VminRow &got, const VminRow &want)
+{
+    EXPECT_EQ(got.workload, want.workload);
+    expectBitsEqual(got.vmin_v, want.vmin_v);
+    expectBitsEqual(got.margin_v, want.margin_v);
+    expectBitsEqual(got.max_droop_v, want.max_droop_v);
+    EXPECT_EQ(got.failure, want.failure);
+    EXPECT_EQ(got.runs, want.runs);
+    expectBitsEqual(got.lab_seconds, want.lab_seconds);
+}
+
+/**
+ * VminTester rows against the whole-trace oracles over the same
+ * matrix: a profile row (window-only runStream + scalar ladder) and
+ * a 30-repeat kernel row (scalar ladder on the streamed waveform).
+ */
+void
+expectVminRowMatrix(const platform::PlatformConfig &cfg)
+{
+    platform::Platform plat(cfg, 7);
+    const auto profile = matrixProfile(cfg);
+    const auto kernel = ResonanceExplorer::probeLoop(plat.pool());
+    for (std::size_t powered = 1; powered <= cfg.n_cores; ++powered) {
+        plat.setPoweredCores(powered);
+        for (std::size_t active = 1; active <= powered; ++active) {
+            for (double d : kMatrixDurations) {
+                SCOPED_TRACE(cfg.name + " powered "
+                             + std::to_string(powered) + " active "
+                             + std::to_string(active) + " window "
+                             + std::to_string(d));
+                auto vcfg = defaultVminConfig(plat);
+                vcfg.duration_s = d;
+                vcfg.active_cores = active;
+                VminTester tester(plat, vcfg);
+                expectRowsIdentical(
+                    tester.testWorkload(profile, 2),
+                    wholeTraceWorkloadRow(plat, vcfg, profile, 2));
+                const Trace nominal =
+                    plat.runKernel(kernel, d, active).v_die;
+                expectRowsIdentical(
+                    tester.testKernel("resonant", kernel, 30),
+                    traceLadderRow("resonant", nominal, plat.voltage(),
+                                   plat.frequency(), vcfg, 30, 15.0));
+            }
+        }
+    }
+}
+
+TEST(StreamingVmin, RunStreamMatchesWholeTraceOracleA72)
+{
+    expectRunStreamMatrix(platform::junoA72Config());
+}
+
+TEST(StreamingVmin, RunStreamMatchesWholeTraceOracleA53)
+{
+    expectRunStreamMatrix(platform::junoA53Config());
+}
+
+TEST(StreamingVmin, RunStreamMatchesWholeTraceOracleAthlon)
+{
+    expectRunStreamMatrix(platform::athlonConfig());
+}
+
+TEST(StreamingVmin, PulseArmedRunStreamMatchesWholeTraceOracle)
+{
+    // The pulse column is evaluated at each step's time on both
+    // paths, and the window cut never reaches past the pulse's
+    // influence on an observed sample.
+    platform::Platform plat(platform::junoA72Config(), 3);
+    em::PulseSpec pulse;
+    pulse.t0_s = 1.1e-6;
+    pulse.width_s = 25e-9;
+    pulse.amplitude_a = 18.0;
+    pulse.x = 0.35;
+    pulse.y = 0.6;
+    plat.armPulse(pulse);
+    Rng gen(9);
+    const auto stream = workloads::generateStream(
+        matrixProfile(plat.config()), plat.pool(), 20000, gen);
+    const auto want = wholeTraceRunStream(plat, stream, 2e-6);
+    const auto got = plat.runStream(stream, 2e-6);
+    expectTracesBitIdentical(got.v_die, want.v_die);
+    expectTracesBitIdentical(got.i_die, want.i_die);
+    expectTracesBitIdentical(got.em, want.em);
+}
+
+TEST(StreamingVmin, VminRowsMatchTraceLadderOracleA72)
+{
+    expectVminRowMatrix(platform::junoA72Config());
+}
+
+TEST(StreamingVmin, VminRowsMatchTraceLadderOracleA53)
+{
+    expectVminRowMatrix(platform::junoA53Config());
+}
+
+TEST(StreamingVmin, VminRowsMatchTraceLadderOracleAthlon)
+{
+    expectVminRowMatrix(platform::athlonConfig());
 }
 
 // ---------------------------------------------------------------

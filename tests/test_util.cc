@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <functional>
 #include <numeric>
 #include <span>
 #include <stdexcept>
@@ -338,6 +339,39 @@ TEST(RngCanary, CounterCellDraws)
     EXPECT_EQ(z[0], 0x1.b05506bf1e05bp-1);
     EXPECT_EQ(z[1], -0x1.a3673a0aec4e1p-2);
     EXPECT_EQ(cell.exponential(), 0x1.b6a16f7bf2c5bp+0);
+}
+
+TEST(RngCanary, StringHashValues)
+{
+    // Every tail length (0-7 bytes past the last whole word) and a
+    // two-word input. These are libstdc++'s 64-bit std::hash values,
+    // which stringHash restates portably.
+    EXPECT_EQ(stringHash(""), 0x553e93901e462a6eull);
+    EXPECT_EQ(stringHash("a"), 0x454ddee488c1ed6bull);
+    EXPECT_EQ(stringHash("resonant"), 0x795037db26062694ull);
+    EXPECT_EQ(stringHash("perlbench"), 0x0c79c62472261c1full);
+    EXPECT_EQ(stringHash("probe-virus"), 0x7ca0ec34a39f0ac4ull);
+    EXPECT_EQ(stringHash("0123456789abcdef"), 0x934b0d760642ed86ull);
+    // Bytes above 0x7f load unsigned.
+    EXPECT_NE(stringHash("\xff"), stringHash("\x7f"));
+}
+
+TEST(StringHash, MatchesLibstdcxxStdHash)
+{
+#ifdef __GLIBCXX__
+    if constexpr (sizeof(std::size_t) == 8) {
+        Rng rng(7);
+        for (int i = 0; i < 20000; ++i) {
+            std::string s(rng.index(40), '\0');
+            for (char &c : s)
+                c = static_cast<char>(rng.uniformInt(0, 255));
+            ASSERT_EQ(stringHash(s), std::hash<std::string>{}(s))
+                << "length " << s.size();
+        }
+    }
+#else
+    GTEST_SKIP() << "std::hash is libstdc++'s only under libstdc++";
+#endif
 }
 
 TEST(CounterRng, CellsArePureFunctionsOfKeyAndCounter)

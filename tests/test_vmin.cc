@@ -83,18 +83,17 @@ TEST(FailureModel, ClassifiesBySlack)
     Rng rng(1);
 
     const double v_crit = tm.vCrit(1.2e9);
+    EXPECT_EQ(&fm.timing(), &tm);
 
     // Comfortably above: pass.
-    Trace good({v_crit + 0.05, v_crit + 0.04}, 1e-9);
-    EXPECT_EQ(fm.classify(good, 1.2e9, rng), RunOutcome::Pass);
+    EXPECT_EQ(fm.classify(v_crit + 0.04, v_crit, rng), RunOutcome::Pass);
 
     // Below critical: system crash.
-    Trace bad({v_crit + 0.05, v_crit - 0.001}, 1e-9);
-    EXPECT_EQ(fm.classify(bad, 1.2e9, rng), RunOutcome::SystemCrash);
+    EXPECT_EQ(fm.classify(v_crit - 0.001, v_crit, rng),
+              RunOutcome::SystemCrash);
 
     // Within the SDC band: SDC or app crash.
-    Trace marginal({v_crit + 0.005, v_crit + 0.006}, 1e-9);
-    const auto outcome = fm.classify(marginal, 1.2e9, rng);
+    const auto outcome = fm.classify(v_crit + 0.005, v_crit, rng);
     EXPECT_TRUE(outcome == RunOutcome::Sdc
                 || outcome == RunOutcome::AppCrash);
     EXPECT_TRUE(isFailure(outcome));
@@ -115,10 +114,7 @@ WorkloadRunner
 fixedDroopRunner(double droop)
 {
     return [droop](double v_supply, std::size_t) {
-        Trace t(1e-9);
-        for (int i = 0; i < 64; ++i)
-            t.push(v_supply - (i == 32 ? droop : 0.0));
-        return t;
+        return v_supply - droop;
     };
 }
 
@@ -222,12 +218,9 @@ TEST(VminSearch, MoreRepeatsCatchRareFailures)
 
     // Runner with per-repeat droop jitter.
     auto jittery = [](double v_supply, std::size_t rep) {
-        Trace t(1e-9);
         const double droop =
             0.050 + 0.004 * static_cast<double>(rep % 7);
-        for (int i = 0; i < 16; ++i)
-            t.push(v_supply - (i == 8 ? droop : 0.0));
-        return t;
+        return v_supply - droop;
     };
 
     VminSearchConfig one;

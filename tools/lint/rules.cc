@@ -139,8 +139,8 @@ const std::set<std::string, std::less<>> kStdDistributions = {
 /**
  * R1: nondeterministic sources. Wall clocks, libc randomness,
  * std::random_device and getenv taint any value derived from them
- * with run-to-run variation, and std::*_distribution adaptors with
- * host-to-host variation. All randomness must flow through the
+ * with run-to-run variation, and std::*_distribution adaptors and
+ * std::hash with host-to-host variation. All randomness must flow through the
  * seeded util/rng.h streams, whose own draw algorithms are the only
  * ones used — so the distribution ban has no util/rng.h exemption.
  * Clocks are allowed only at annotated
@@ -175,9 +175,20 @@ ruleR1(std::string_view path, const SourceScan &scan,
     const RuleTags env_rule{"R1", {"env-config", "parity-tolerance",
                                    "r1"}};
     const RuleTags random_rule{"R1", {"r1"}};
-    for (const Token &tok : scan.tokens) {
+    const auto &toks = scan.tokens;
+    for (std::size_t i = 0; i < toks.size(); ++i) {
+        const Token &tok = toks[i];
         if (tok.kind != TokKind::Identifier)
             continue;
+        if (tok.text == "hash" && i >= 3 && toks[i - 1].text == ":"
+            && toks[i - 2].text == ":" && toks[i - 3].text == "std") {
+            emit(findings, scan, random_rule, path, tok.line,
+                 "implementation-defined `std::hash`; its values "
+                 "differ between standard libraries, so a seed or key "
+                 "derived from it moves on another host — use "
+                 "emstress::stringHash (src/util/rng.h)");
+            continue;
+        }
         if (kStdDistributions.count(tok.text)) {
             emit(findings, scan, random_rule, path, tok.line,
                  "implementation-defined distribution `" + tok.text
