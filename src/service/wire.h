@@ -11,6 +11,12 @@
  * across the wire: a fitness decoded on the client compares equal,
  * bit for bit, to the fitness the fleet computed.
  *
+ * Each record is described once, by one field list (`fields()`, in
+ * wire order). WireWriter and WireReader both walk that list, so
+ * encode and decode agree by construction; the list's static_assert
+ * on the record's member count makes a new member fail the build
+ * until it is listed.
+ *
  * The codec is transport-agnostic: the socket transport writes frames
  * to a TCP stream, and the in-process transport round-trips every
  * spec and result through this same encoding so tests pin the codec's
@@ -49,11 +55,14 @@
 #define EMSTRESS_SERVICE_WIRE_H
 
 #include <bit>
+#include <concepts>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
+#include "isa/kernel.h"
 #include "isa/pool.h"
 #include "service/job.h"
 
@@ -110,7 +119,47 @@ class ProtocolError : public std::runtime_error
     {}
 };
 
-/** Serializer for one message body. */
+/** Last enumerator of each enum that crosses the wire as a u8. The
+ *  reader rejects any byte past it, so an out-of-range value never
+ *  becomes an enum. Enums without an entry cannot cross the wire. */
+template <class E>
+struct WireEnum;
+
+template <>
+struct WireEnum<PlatformPreset>
+{
+    static constexpr PlatformPreset kLast = PlatformPreset::kAthlon;
+};
+
+template <>
+struct WireEnum<core::VirusMetric>
+{
+    static constexpr core::VirusMetric kLast =
+        core::VirusMetric::PeakToPeak;
+};
+
+template <>
+struct WireEnum<JobMode>
+{
+    static constexpr JobMode kLast = JobMode::kActiveEmfi;
+};
+
+template <>
+struct WireEnum<JobClass>
+{
+    static constexpr JobClass kLast = JobClass::kInteractive;
+};
+
+/** A std::vector: crosses the wire as a u64 count plus elements. */
+template <class T>
+concept IsVector =
+    std::same_as<T, std::vector<typename T::value_type>>;
+
+/**
+ * Serializer for one message body. The u8/u32/u64/f64/str primitives
+ * write single fields; operator() writes whole records by walking
+ * their field list (fields() below), one field at a time.
+ */
 class WireWriter
 {
   public:
@@ -152,13 +201,67 @@ class WireWriter
         bytes_.insert(bytes_.end(), s.begin(), s.end());
     }
 
+    /** Pool that kernel fields serialize against. */
+    WireWriter &
+    kernelPool(const isa::InstructionPool &pool)
+    {
+        pool_ = &pool;
+        return *this;
+    }
+
+    /** Write each argument: a field or a record with a field list. */
+    template <class... T>
+    void
+    operator()(const T &...v)
+    {
+        (put(v), ...);
+    }
+
     const std::vector<std::uint8_t> &bytes() const { return bytes_; }
 
   private:
+    /** One field at its wire width: size_t as u64, max_attempts as
+     *  u32, doubles as bit patterns, bools and enums as u8, kernels
+     *  as text, vectors as a u64 count plus elements, records through
+     *  their field list. */
+    template <class T>
+    void
+    put(const T &v)
+    {
+        if constexpr (std::same_as<T, bool>)
+            u8(v ? 1 : 0);
+        else if constexpr (std::is_enum_v<T>)
+            u8(static_cast<std::uint8_t>(v));
+        else if constexpr (std::same_as<T, double>)
+            f64(v);
+        else if constexpr (std::same_as<T, std::uint32_t>)
+            u32(v);
+        else if constexpr (std::unsigned_integral<T>)
+            u64(v);
+        else if constexpr (std::same_as<T, std::string>)
+            str(v);
+        else if constexpr (std::same_as<T, isa::Kernel>) {
+            if (pool_ == nullptr)
+                throw std::logic_error("kernel field needs a pool");
+            str(v.serialize(*pool_));
+        } else if constexpr (IsVector<T>) {
+            u64(v.size());
+            for (const auto &e : v)
+                put(e);
+        } else {
+            fields(*this, v);
+        }
+    }
+
     std::vector<std::uint8_t> bytes_;
+    const isa::InstructionPool *pool_ = nullptr;
 };
 
-/** Bounds-checked deserializer for one message body. */
+/**
+ * Bounds-checked deserializer for one message body: the mirror of
+ * WireWriter. operator() reads records through the same field lists
+ * the writer walks, so what one side writes the other reads.
+ */
 class WireReader
 {
   public:
@@ -214,6 +317,32 @@ class WireReader
         return s;
     }
 
+    /** Pool that kernel fields deserialize against. */
+    WireReader &
+    kernelPool(const isa::InstructionPool &pool)
+    {
+        pool_ = &pool;
+        return *this;
+    }
+
+    /** Read into each argument: a field or a record. */
+    template <class... T>
+    void
+    operator()(T &...v)
+    {
+        (get(v), ...);
+    }
+
+    /** Read one default-initialized T. */
+    template <class T>
+    T
+    read()
+    {
+        T v;
+        get(v);
+        return v;
+    }
+
     /** Bytes not yet consumed. */
     std::size_t remaining() const { return size_ - pos_; }
 
@@ -233,9 +362,49 @@ class WireReader
             throw ProtocolError("truncated message body");
     }
 
+    /** Mirror of WireWriter::put. An enum byte past the enum's last
+     *  value, or a vector count past the unread bytes (every element
+     *  takes at least one), is malformed. Vectors grow element by
+     *  element, never reserved from the untrusted count. */
+    template <class T>
+    void
+    get(T &v)
+    {
+        if constexpr (std::same_as<T, bool>)
+            v = u8() != 0;
+        else if constexpr (std::is_enum_v<T>) {
+            const std::uint8_t raw = u8();
+            if (raw > static_cast<std::uint8_t>(WireEnum<T>::kLast))
+                throw ProtocolError("enum value out of range on wire");
+            v = static_cast<T>(raw);
+        } else if constexpr (std::same_as<T, double>)
+            v = f64();
+        else if constexpr (std::same_as<T, std::uint32_t>)
+            v = u32();
+        else if constexpr (std::unsigned_integral<T>)
+            v = static_cast<T>(u64());
+        else if constexpr (std::same_as<T, std::string>)
+            v = str();
+        else if constexpr (std::same_as<T, isa::Kernel>) {
+            if (pool_ == nullptr)
+                throw std::logic_error("kernel field needs a pool");
+            v = isa::Kernel::deserialize(*pool_, str());
+        } else if constexpr (IsVector<T>) {
+            const std::uint64_t n = u64();
+            if (n > remaining())
+                throw ProtocolError("vector length exceeds message body");
+            v.clear();
+            for (std::uint64_t i = 0; i < n; ++i)
+                get(v.emplace_back());
+        } else {
+            fields(*this, v);
+        }
+    }
+
     const std::uint8_t *data_;
     std::size_t size_;
     std::size_t pos_ = 0;
+    const isa::InstructionPool *pool_ = nullptr;
 };
 
 /** Assemble a full frame (length prefix + type + body). */
@@ -261,6 +430,151 @@ struct ResumeReply
     /// Generations the job has stepped so far (resume telemetry).
     std::uint64_t generations_done = 0;
 };
+
+namespace detail {
+
+/** Converts to any member type, to count an aggregate's members. */
+struct AnyMember
+{
+    template <class T>
+    operator T() const;
+};
+
+/** Number of members of aggregate T (brace-initializer probe). */
+template <class T, class... M>
+consteval std::size_t
+aggregateArity()
+{
+    if constexpr (requires { T{M{}..., AnyMember{}}; })
+        return aggregateArity<T, M..., AnyMember>();
+    else
+        return sizeof...(M);
+}
+
+} // namespace detail
+
+/** `T` is record `R`, const or not: the writer walks const records,
+ *  every other archive mutable ones. */
+template <class T, class R>
+concept Record = std::same_as<std::remove_const_t<T>, R>;
+
+/// @{
+/**
+ * Field lists: the one description of each record's body, in wire
+ * order. Encode and decode both walk them, so the two sides cannot
+ * disagree. Each list is guarded by its record's member count: a
+ * member added to a record fails the build here until it is listed
+ * (or, for a member that must not cross the wire, until the count
+ * is updated with a comment saying why).
+ */
+static_assert(detail::aggregateArity<RetryPolicy>() == 4);
+void
+fields(auto &ar, Record<RetryPolicy> auto &p)
+{
+    ar(p.max_attempts, p.backoff_s, p.backoff_factor,
+       p.backoff_cap_s);
+}
+
+static_assert(detail::aggregateArity<ga::GaConfig>() == 12);
+void
+fields(auto &ar, Record<ga::GaConfig> auto &g)
+{
+    ar(g.population, g.generations, g.kernel_length, g.mutation_rate,
+       g.operand_mutation_ratio, g.tournament_k, g.elite, g.seed,
+       g.restarts, g.threads, g.memoize, g.retry);
+}
+
+static_assert(detail::aggregateArity<core::EvalSettings>() == 5);
+void
+fields(auto &ar, Record<core::EvalSettings> auto &e)
+{
+    ar(e.duration_s, e.f_lo_hz, e.f_hi_hz, e.sa_samples,
+       e.active_cores);
+}
+
+static_assert(detail::aggregateArity<EmfiJobSpec>() == 6);
+void
+fields(auto &ar, Record<EmfiJobSpec> auto &fi)
+{
+    ar(fi.victim_seed, fi.victim_length, fi.target_slot,
+       fi.schedule_seed, fi.t0_max_s, fi.amplitude_max_a);
+}
+
+/** job_class and deadline_s (version 2) come last, so the
+ *  result-defining prefix stayed byte-stable across versions. Like
+ *  the tenant, neither is fingerprinted: they change job latency,
+ *  never job results. */
+static_assert(detail::aggregateArity<JobSpec>() == 10);
+void
+fields(auto &ar, Record<JobSpec> auto &s)
+{
+    ar(s.tenant, s.platform, s.platform_seed, s.metric, s.ga, s.eval,
+       s.mode, s.emfi, s.job_class, s.deadline_s);
+}
+
+static_assert(detail::aggregateArity<ResumeRequest>() == 2);
+void
+fields(auto &ar, Record<ResumeRequest> auto &q)
+{
+    ar(q.token, q.last_acked_generation);
+}
+
+static_assert(detail::aggregateArity<ResumeReply>() == 3);
+void
+fields(auto &ar, Record<ResumeReply> auto &q)
+{
+    ar(q.id, q.platform, q.generations_done);
+}
+
+static_assert(detail::aggregateArity<JobProgress>() == 6);
+void
+fields(auto &ar, Record<JobProgress> auto &p)
+{
+    ar(p.generation, p.generations_done, p.generations_total,
+       p.best_fitness, p.mean_fitness, p.dominant_freq_hz);
+}
+
+static_assert(detail::aggregateArity<ga::EvalDetail>() == 4);
+void
+fields(auto &ar, Record<ga::EvalDetail> auto &d)
+{
+    ar(d.dominant_freq_hz, d.metric_raw, d.measurement_seconds,
+       d.samples_materialized);
+}
+
+static_assert(detail::aggregateArity<ga::EvalStats>() == 12);
+void
+fields(auto &ar, Record<ga::EvalStats> auto &s)
+{
+    ar(s.evals, s.cache_hits, s.elites_reused, s.threads,
+       s.eval_seconds, s.wall_seconds, s.samples_materialized,
+       s.faults_injected, s.retries, s.permanent_failures,
+       s.fault_backoff_seconds, s.tasks_cancelled);
+}
+
+static_assert(detail::aggregateArity<ga::GenerationRecord>() == 5);
+void
+fields(auto &ar, Record<ga::GenerationRecord> auto &r)
+{
+    ar(r.generation, r.best_fitness, r.mean_fitness, r.best_detail,
+       r.best);
+}
+
+static_assert(detail::aggregateArity<ga::GaResult>() == 6);
+void
+fields(auto &ar, Record<ga::GaResult> auto &g)
+{
+    ar(g.best, g.best_fitness, g.best_detail, g.estimated_lab_seconds,
+       g.eval_stats, g.history);
+}
+
+static_assert(detail::aggregateArity<JobResult>() == 4);
+void
+fields(auto &ar, Record<JobResult> auto &r)
+{
+    ar(r.metric, r.from_artifact_store, r.fingerprint, r.ga);
+}
+/// @}
 
 /// @{ Body codecs for the structured payloads.
 void encodeJobSpec(WireWriter &w, const JobSpec &spec);

@@ -1,6 +1,6 @@
 /**
  * @file
- * The cross-TU project index behind emstress-lint v2's R7/R8/R9
+ * The cross-TU project index behind emstress-lint v2's R7/R8
  * rule families (DESIGN.md §15). buildProjectIndex() walks every
  * analyzed file's token stream once for structure (namespaces,
  * classes with their members, mutex members, `// guards: <mutex>`
@@ -138,9 +138,6 @@ ProjectIndex buildProjectIndex(std::vector<ProjectFile> files);
 
 /** R7 + R8 over a built index (unsuppressed, unsorted). */
 std::vector<Finding> runLockRules(const ProjectIndex &index);
-
-/** R9 over a built index (unsuppressed, unsorted). */
-std::vector<Finding> runWireRules(const ProjectIndex &index);
 
 } // namespace lint
 } // namespace emstress

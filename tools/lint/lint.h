@@ -29,7 +29,7 @@
  * On top of the per-file rules, emstress-lint v2 builds a
  * project-wide index over every analyzed translation unit (classes,
  * members, `// guards: <mutex>` annotations, functions with lexical
- * lock tracking and call sites) and runs three cross-TU rule
+ * lock tracking and call sites) and runs two cross-TU rule
  * families over it (DESIGN.md §15):
  *
  *   R7  lock-discipline  a member annotated `// guards: <mutex>`
@@ -42,11 +42,6 @@
  *                        acquired-while-holding mutex graph; the
  *                        witness path names every edge's call and
  *                        acquisition site
- *   R9  wire-symmetry    encode/decode wire-codec field sequences
- *                        that disagree (missing field, ordering
- *                        drift, type mismatch), or a fingerprinted
- *                        jobDescription field that never crosses
- *                        the wire
  *
  * Findings are suppressed either by an inline annotation comment
  * (`// lint: <tag>` on the same line or the line directly above) or
@@ -74,9 +69,9 @@ struct Finding
     std::string message; ///< Human-readable explanation + fix hint.
     /**
      * Supporting evidence, one step per entry: the lock path that
-     * fails to cover an access (R7), the cycle's
-     * held-at/acquired-at chain (R8), or the encode/decode field
-     * diff (R9). Empty for the token-local rules.
+     * fails to cover an access (R7) or the cycle's
+     * held-at/acquired-at chain (R8). Empty for the token-local
+     * rules.
      */
     std::vector<std::string> witness;
     /// True when an annotation or fix-list entry silences the
@@ -149,12 +144,11 @@ struct ProjectFile
 };
 
 /**
- * Run the cross-TU rules (R7 lock-discipline, R8 lock-order, R9
- * wire-symmetry) over a whole project's files at once. Returns every
- * finding, suppressed ones marked (annotation tags `r7`/`r8`/`r9`
- * or their semantic aliases `lock-discipline`/`lock-order`/
- * `wire-symmetry`, plus fix-list entries), sorted by (file, line,
- * rule) for deterministic output.
+ * Run the cross-TU rules (R7 lock-discipline, R8 lock-order) over a
+ * whole project's files at once. Returns every finding, suppressed
+ * ones marked (annotation tags `r7`/`r8` or their semantic aliases
+ * `lock-discipline`/`lock-order`, plus fix-list entries), sorted by
+ * (file, line, rule) for deterministic output.
  */
 std::vector<Finding> analyzeProject(const std::vector<ProjectFile> &files,
                                     const Options &options = {});

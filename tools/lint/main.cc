@@ -4,7 +4,7 @@
  * explicit files, or the translation units named by a CMake
  * `compile_commands.json` plus their quoted-include closure), runs
  * the per-file determinism rules (R1-R6) over every .h/.cc, runs the
- * cross-TU rules (R7-R9) over the whole file set at once, and prints
+ * cross-TU rules (R7-R8) over the whole file set at once, and prints
  * `file:line: [Rn] message` diagnostics.
  *
  *   emstress-lint [--root DIR]... [--fix-list FILE]
@@ -47,7 +47,7 @@ usage(std::ostream &os)
           " [--compile-commands FILE]\n"
           "                     [--json FILE] [--github]"
           " [files...]\n"
-          "Static determinism lint for emstress (rules R1-R9, see"
+          "Static determinism lint for emstress (rules R1-R8, see"
           " tools/lint/README.md).\n";
     return 2;
 }

@@ -16,13 +16,12 @@
  *                       acyclic; each cycle is reported once with a
  *                       witness naming every edge's site.
  *
- * analyzeProject() is the public entry: build the index, run R7-R9,
+ * analyzeProject() is the public entry: build the index, run R7-R8,
  * mark suppressions (annotation tags and fix-list), sort.
  */
 
 #include <algorithm>
 #include <functional>
-#include <iterator>
 #include <map>
 #include <optional>
 #include <set>
@@ -428,12 +427,8 @@ suppressionTagsFor(const std::string &rule, const char **alias)
         *alias = "lock-discipline";
         return "r7";
     }
-    if (rule == "R8") {
-        *alias = "lock-order";
-        return "r8";
-    }
-    *alias = "wire-symmetry";
-    return "r9";
+    *alias = "lock-order";
+    return "r8";
 }
 
 } // namespace
@@ -451,12 +446,6 @@ analyzeProject(const std::vector<ProjectFile> &files,
             solveInferredHolds(ix, inbound);
         runR7(ix, inferred, inbound, findings);
         runR8(ix, inferred, findings);
-    }
-    {
-        std::vector<Finding> wire = runWireRules(ix);
-        findings.insert(findings.end(),
-                        std::make_move_iterator(wire.begin()),
-                        std::make_move_iterator(wire.end()));
     }
 
     // Suppression: annotation tags in the finding's own file, then
