@@ -22,8 +22,8 @@ namespace {
 const double kEmptyBandW = dbmToWatts(SaMarker{}.power_dbm);
 
 /**
- * The analyzer's measurement noise: the one source both the FFT and
- * the Goertzel paths draw readings from.
+ * The analyzer's measurement noise: the one source both the batch and
+ * the streaming paths draw readings from.
  */
 class SweepNoise
 {
@@ -46,7 +46,13 @@ class SweepNoise
                std::uint64_t key)
         : rng_(key),
           gain_ln_(params.gain_error_db * std::log(10.0) / 10.0),
-          floor_w_(dbmToWatts(params.noise_floor_dbm))
+          floor_w_(dbmToWatts(params.noise_floor_dbm)),
+          // openUnitDouble never returns less than 2^-53, which caps
+          // a Box–Muller radius at sqrt(106 ln 2) and an Exp(1) draw
+          // at 53 ln 2. The relative pad covers libm rounding.
+          gain_max_(std::exp(std::abs(gain_ln_)
+                             * std::sqrt(106.0 * std::log(2.0)))),
+          floor_max_w_(floor_w_ * 53.0 * std::log(2.0))
     {
     }
 
@@ -78,35 +84,35 @@ class SweepNoise
         return pair(sweep, k / 2).watts(signal_w, k & 1);
     }
 
+    /**
+     * An upper bound on every reading of a bin whose noiseless power
+     * is signal_w, in any sweep. Monotone in signal_w.
+     */
+    double
+    maxWatts(double signal_w) const
+    {
+        return (signal_w * gain_max_ + floor_max_w_) * (1.0 + 1e-9);
+    }
+
   private:
     CounterRng rng_;
     double gain_ln_; ///< gain_error_db in natural-log power units.
     double floor_w_;
+    double gain_max_;    ///< Largest gain any draw can produce.
+    double floor_max_w_; ///< Largest floor power any draw can produce.
 };
 
-/**
- * The displayed in-band bins of one capture: a contiguous run of
- * FFT-grid indices [first, first + size()).
- */
-struct BandBins
+/** Append grid bin k to a band; bins must arrive contiguously. */
+void
+addBin(SaBand &band, std::size_t k, double f, double w)
 {
-    std::size_t first = 0;
-    std::vector<double> freq_hz;
-    std::vector<double> signal_w; ///< Noiseless power [W].
-
-    std::size_t size() const { return signal_w.size(); }
-
-    void
-    add(std::size_t k, double f, double w)
-    {
-        if (signal_w.empty())
-            first = k;
-        requireSim(k == first + size(),
-                   "band bins must be contiguous on the FFT grid");
-        freq_hz.push_back(f);
-        signal_w.push_back(w);
-    }
-};
+    if (band.signal_w.empty())
+        band.first_bin = k;
+    requireSim(k == band.first_bin + band.size(),
+               "band bins must be contiguous on the FFT grid");
+    band.freq_hz.push_back(f);
+    band.signal_w.push_back(w);
+}
 
 /** True when [lo, hi] holds f (the marker search's comparisons). */
 bool
@@ -123,31 +129,60 @@ struct BandMax
 };
 
 /**
- * One noisy sweep's strict-greater band maximum, in ascending
- * frequency. Readings are compared in watts (dBm is monotone in
- * them), and each bin pair's noise is drawn once.
+ * A band's bins in the order the marker search draws them: strongest
+ * noiseless power first, lower bin first on equal power. NaN bins are
+ * left out; their readings are NaN and never win.
+ */
+std::vector<std::size_t>
+strongestFirst(const SaBand &band)
+{
+    std::vector<std::size_t> order;
+    order.reserve(band.size());
+    for (std::size_t i = 0; i < band.size(); ++i)
+        if (!std::isnan(band.signal_w[i]))
+            order.push_back(i);
+    std::sort(order.begin(), order.end(),
+              [&](std::size_t a, std::size_t b) {
+                  const double wa = band.signal_w[a];
+                  const double wb = band.signal_w[b];
+                  return wa > wb || (wa == wb && a < b);
+              });
+    return order;
+}
+
+/**
+ * One noisy sweep's band maximum: the highest reading, the lowest bin
+ * on equal readings, and nothing unless a reading beats the empty
+ * band's level. Readings are compared in watts (dBm is monotone in
+ * them). Bins are drawn strongest first, and the search stops at the
+ * first bin whose reading bound falls below the best reading so far:
+ * every later bin's bound is lower still, so none of them can win.
  */
 BandMax
-sweepMax(const BandBins &bins, const SweepNoise &noise,
-         std::size_t sweep)
+sweepMax(const SaBand &band, const std::vector<std::size_t> &order,
+         const SweepNoise &noise, std::size_t sweep)
 {
-    metrics::Registry::instance().add("instruments.sa.band_evals");
     BandMax best;
-    const std::size_t end = bins.first + bins.size();
-    for (std::size_t k = bins.first & ~std::size_t{1}; k < end;
-         k += 2) {
-        const SweepNoise::Pair p = noise.pair(sweep, k / 2);
-        for (std::size_t b = 0; b < 2; ++b) {
-            if (k + b < bins.first || k + b >= end)
-                continue;
-            const std::size_t i = k + b - bins.first;
-            const double w = p.watts(bins.signal_w[i], b);
-            if (w > best.watts) {
-                best.watts = w;
-                best.freq_hz = bins.freq_hz[i];
-            }
+    std::size_t best_i = 0;
+    bool found = false;
+    std::uint64_t drawn = 0;
+    for (const std::size_t i : order) {
+        const double s = band.signal_w[i];
+        if (noise.maxWatts(s) < best.watts)
+            break;
+        const std::size_t k = band.first_bin + i;
+        const double w = noise.pair(sweep, k / 2).watts(s, k & 1);
+        ++drawn;
+        if (w > best.watts || (found && w == best.watts && i < best_i)) {
+            best.watts = w;
+            best.freq_hz = band.freq_hz[i];
+            best_i = i;
+            found = true;
         }
     }
+    auto &reg = metrics::Registry::instance();
+    reg.add("instruments.sa.band_evals");
+    reg.add("instruments.sa.noise_pairs_drawn", drawn);
     return best;
 }
 
@@ -166,15 +201,16 @@ toMarker(const BandMax &m)
  * wins on weak signals.
  */
 SaMarker
-averagedBandMax(const BandBins &bins, const SweepNoise &noise,
-                std::size_t n_samples)
+rmsOfSweeps(const SaBand &band, const SweepNoise &noise,
+            std::size_t n_samples)
 {
     requireConfig(n_samples >= 1, "need at least one sample");
+    const std::vector<std::size_t> order = strongestFirst(band);
     double sum_sq_w = 0.0;
     std::vector<double> freqs;
     freqs.reserve(n_samples);
     for (std::size_t i = 0; i < n_samples; ++i) {
-        const BandMax m = sweepMax(bins, noise, i);
+        const BandMax m = sweepMax(band, order, noise, i);
         const double p_w = std::max(m.watts, 1e-30);
         sum_sq_w += p_w * p_w;
         freqs.push_back(m.freq_hz);
@@ -201,7 +237,7 @@ requireDisplayBins(bool any)
  * inside the display span. Checks, like a full sweep, that the
  * display span holds at least one grid bin.
  */
-BandBins
+SaBand
 goertzelBandBins(const SpectrumAnalyzerParams &params,
                  const dsp::GoertzelBank &bank,
                  const dsp::GoertzelAccumulator &acc, double f_lo,
@@ -221,19 +257,34 @@ goertzelBandBins(const SpectrumAnalyzerParams &params,
     requireDisplayBins(displayed);
 
     const std::vector<double> amps = acc.amplitudesVrms();
-    BandBins bins;
+    SaBand band;
     for (std::size_t i = 0; i < bank.size(); ++i) {
         const std::size_t k = bank.binIndex(i);
         const double f = df * static_cast<double>(k);
         if (inSpan(f, params.f_start_hz, params.f_stop_hz)
             && inSpan(f, f_lo, f_hi))
-            bins.add(k, f,
-                     voltsRmsToWatts(amps[i], params.ref_impedance));
+            addBin(band, k, f,
+                   voltsRmsToWatts(amps[i], params.ref_impedance));
     }
-    return bins;
+    return band;
 }
 
 } // namespace
+
+double
+saReadingWatts(const SpectrumAnalyzerParams &params,
+               std::uint64_t noise_key, std::size_t sweep,
+               std::size_t k, double signal_w)
+{
+    return SweepNoise(params, noise_key).watts(signal_w, sweep, k);
+}
+
+SaMarker
+averagedBandMax(const SpectrumAnalyzerParams &params, const SaBand &band,
+                std::size_t n_samples, std::uint64_t noise_key)
+{
+    return rmsOfSweeps(band, SweepNoise(params, noise_key), n_samples);
+}
 
 SpectrumAnalyzer::SpectrumAnalyzer(const SpectrumAnalyzerParams &params,
                                    Rng rng)
@@ -327,20 +378,19 @@ SpectrumAnalyzer::averagedMaxAmplitude(const Trace &v_received,
     // measurement noise varies, so compute the spectrum once.
     const auto spec = dsp::computeSpectrum(v_received, params_.window);
     bool displayed = false;
-    BandBins bins;
+    SaBand band;
     for (std::size_t k = 0; k < spec.size(); ++k) {
         const double f = spec.freqs_hz[k];
         if (!inSpan(f, params_.f_start_hz, params_.f_stop_hz))
             continue;
         displayed = true;
         if (inSpan(f, f_lo, f_hi))
-            bins.add(k, f,
-                     voltsRmsToWatts(spec.amps_vrms[k],
-                                     params_.ref_impedance));
+            addBin(band, k, f,
+                   voltsRmsToWatts(spec.amps_vrms[k],
+                                   params_.ref_impedance));
     }
     requireDisplayBins(displayed);
-    return averagedBandMax(bins, SweepNoise(params_, noise_key),
-                           n_samples);
+    return rmsOfSweeps(band, SweepNoise(params_, noise_key), n_samples);
 }
 
 SaBandDetector::SaBandDetector(const SpectrumAnalyzerParams &params,
@@ -372,17 +422,17 @@ SaBandDetector::SaBandDetector(const SpectrumAnalyzerParams &params,
 SaMarker
 SaBandDetector::maxAmplitude(Rng &noise) const
 {
-    const BandBins bins =
+    const SaBand band =
         goertzelBandBins(params_, bank_, goertzel_, f_lo_, f_hi_);
-    return toMarker(
-        sweepMax(bins, SweepNoise(params_, noise.bits()), 0));
+    return toMarker(sweepMax(band, strongestFirst(band),
+                             SweepNoise(params_, noise.bits()), 0));
 }
 
 SaMarker
 SaBandDetector::averagedMaxAmplitude(std::size_t n_samples,
                                      std::uint64_t noise_key) const
 {
-    return averagedBandMax(
+    return rmsOfSweeps(
         goertzelBandBins(params_, bank_, goertzel_, f_lo_, f_hi_),
         SweepNoise(params_, noise_key), n_samples);
 }

@@ -56,6 +56,41 @@ struct SaMarker
 };
 
 /**
+ * The in-band bins of one capture as the analyzer displays them: a
+ * contiguous run of FFT-grid indices [first_bin, first_bin + size())
+ * with their noiseless powers. Every band marker reduces to this.
+ */
+struct SaBand
+{
+    std::size_t first_bin = 0;
+    std::vector<double> freq_hz;
+    std::vector<double> signal_w; ///< Noiseless power [W].
+
+    /** Number of bins. */
+    std::size_t size() const { return signal_w.size(); }
+};
+
+/**
+ * The analyzer's reading model: displayed power [W] of FFT-grid bin k
+ * in sweep `sweep` under `noise_key`, for noiseless power signal_w
+ * (see SpectrumAnalyzer for the noise).
+ */
+double saReadingWatts(const SpectrumAnalyzerParams &params,
+                      std::uint64_t noise_key, std::size_t sweep,
+                      std::size_t k, double signal_w);
+
+/**
+ * The paper's RMS-of-N-sweeps statistic over a band's bins: per
+ * sweep, the highest reading (the lowest bin on equal readings; NaN
+ * never wins), then the RMS of those maxima in dBm with the median
+ * marker frequency. Only bins whose reading could still win are
+ * drawn, so most sweeps read one or two bins.
+ */
+SaMarker averagedBandMax(const SpectrumAnalyzerParams &params,
+                         const SaBand &band, std::size_t n_samples,
+                         std::uint64_t noise_key);
+
+/**
  * Streaming band-max detector: the SampleSink counterpart of feeding
  * a received-voltage trace through
  * SpectrumAnalyzer::averagedMaxAmplitude(). A Goertzel bank watches

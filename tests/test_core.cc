@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "batch_oracle.h"
+#include "sa_band_oracle.h"
 #include "core/fitness.h"
 #include "core/multidomain.h"
 #include "core/resonance_explorer.h"
@@ -482,6 +483,70 @@ TEST(VminTesterTest, RowsBitIdenticalWithMetricsOnAndOff)
         EXPECT_EQ(rows[1][i].failure, rows[0][i].failure);
         EXPECT_EQ(rows[1][i].runs, rows[0][i].runs);
     }
+}
+
+TEST(EmMarkerPruning, GaCorpusMarkersMatchExhaustiveSearch)
+{
+    // Captures of GA-style random kernels at a resonant and an
+    // off-resonance clock, with the paper's 30 sweeps: the pruned
+    // marker must equal the exhaustive one bit for bit.
+    platform::Platform a72(platform::junoA72Config(), 3);
+    const auto &sa = a72.analyzer();
+    Rng rng(31);
+    for (const double f_clk : {560e6, 1.2e9}) {
+        a72.setFrequency(f_clk);
+        for (int i = 0; i < 4; ++i) {
+            const auto kernel = isa::Kernel::random(a72.pool(), 30, rng);
+            const auto run = a72.runKernelBatch(kernel, 2e-6);
+            const std::uint64_t key = rng.bits();
+            const auto want = instruments::exhaustiveBandMax(
+                sa.params(),
+                instruments::bandOf(sa.params(), run.em, 50e6, 200e6),
+                30, key);
+            const auto got =
+                sa.averagedMaxAmplitude(run.em, 50e6, 200e6, 30, key);
+            EXPECT_EQ(got.power_dbm, want.power_dbm) << f_clk << " " << i;
+            EXPECT_EQ(got.freq_hz, want.freq_hz) << f_clk << " " << i;
+        }
+    }
+}
+
+TEST(EmMarkerPruning, BitIdenticalWithMetricsOnAndOff)
+{
+    // The pruned marker search reports its sweeps and its noise draws
+    // through write-only counters (DESIGN.md §11): one band_evals per
+    // sweep, and a handful of pair draws where the exhaustive search
+    // drew all ~154 pairs of the 50-200 MHz band.
+    const bool was_enabled = metrics::enabled();
+    platform::Platform a72(platform::junoA72Config(), 3);
+    EvalSettings eval = fastEval();
+    eval.sa_samples = 30;
+    Rng rng(32);
+    std::vector<isa::Kernel> kernels = {
+        ResonanceExplorer::probeLoop(a72.pool())};
+    for (int i = 0; i < 3; ++i)
+        kernels.push_back(isa::Kernel::random(a72.pool(), 30, rng));
+    std::vector<double> fitness[2];
+    for (const bool on : {false, true}) {
+        metrics::setEnabled(on);
+        metrics::Registry::instance().reset();
+        EmAmplitudeFitness em(a72, eval);
+        for (const auto &k : kernels)
+            fitness[on].push_back(em.evaluate(k, nullptr));
+        const auto snap = metrics::Registry::instance().snapshot();
+        const auto count = [&](const char *name) -> std::uint64_t {
+            const auto it = snap.counters.find(name);
+            return it == snap.counters.end() ? 0 : it->second;
+        };
+        const std::uint64_t sweeps = count("instruments.sa.band_evals");
+        const std::uint64_t drawn =
+            count("instruments.sa.noise_pairs_drawn");
+        EXPECT_EQ(sweeps, on ? 30 * kernels.size() : 0u);
+        EXPECT_GE(drawn, sweeps);
+        EXPECT_LE(drawn, 4 * sweeps) << drawn;
+    }
+    metrics::setEnabled(was_enabled);
+    EXPECT_EQ(fitness[1], fitness[0]);
 }
 
 TEST(VminTesterTest, DefaultConfigScalesWithPlatform)

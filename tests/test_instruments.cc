@@ -7,11 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "instruments/oscilloscope.h"
 #include "instruments/scl.h"
 #include "instruments/spectrum_analyzer.h"
+#include "sa_band_oracle.h"
 #include "util/error.h"
 #include "util/stats.h"
 #include "util/units.h"
@@ -123,6 +125,131 @@ TEST(SpectrumAnalyzerCanary, KeyedReadingsArePinned)
                                            0x51ull);
     EXPECT_DOUBLE_EQ(m.freq_hz, 125e6);
     EXPECT_EQ(m.power_dbm, -0x1.283dbd1deecbdp+6);
+}
+
+/** Expect the pruned marker to equal the exhaustive one, bit for bit. */
+void
+expectPrunedMatchesExhaustive(const SpectrumAnalyzerParams &params,
+                              const SaBand &band, std::uint64_t key,
+                              const char *what)
+{
+    for (const std::size_t n : {1u, 30u}) {
+        const SaMarker want = exhaustiveBandMax(params, band, n, key);
+        const SaMarker got = averagedBandMax(params, band, n, key);
+        EXPECT_EQ(got.power_dbm, want.power_dbm) << what << " n=" << n;
+        EXPECT_EQ(got.freq_hz, want.freq_hz) << what << " n=" << n;
+    }
+}
+
+/** A band of `size` bins from grid index `first`, 1 MHz apart. */
+SaBand
+syntheticBand(std::size_t first, std::size_t size, double signal_w)
+{
+    SaBand band;
+    band.first_bin = first;
+    for (std::size_t i = 0; i < size; ++i) {
+        band.freq_hz.push_back(1e6 * static_cast<double>(first + i));
+        band.signal_w.push_back(signal_w);
+    }
+    return band;
+}
+
+/** Log-uniform powers from far below to far above the floor. */
+void
+randomizePowers(SaBand &band, Rng &rng)
+{
+    for (double &w : band.signal_w)
+        w = std::pow(10.0, rng.uniform(-17.0, -6.0));
+}
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+TEST(SaBandPruning, AllFloorBandMatchesExhaustiveSearch)
+{
+    const SpectrumAnalyzerParams params;
+    expectPrunedMatchesExhaustive(params, syntheticBand(40, 600, 0.0),
+                                  0x51ull, "zero signal");
+}
+
+TEST(SaBandPruning, EqualReadingsGoToTheLowestBin)
+{
+    // No gain ripple and no floor: every reading is its bin's signal
+    // power exactly, so equal powers tie in every sweep.
+    SpectrumAnalyzerParams params;
+    params.gain_error_db = 0.0;
+    params.noise_floor_dbm = -kInf;
+    SaBand flat = syntheticBand(41, 50, 1e-9);
+    expectPrunedMatchesExhaustive(params, flat, 3, "flat");
+    EXPECT_EQ(averagedBandMax(params, flat, 5, 3).freq_hz, 41e6);
+
+    SaBand twin = flat;
+    twin.signal_w[17] = 1e-6;
+    twin.signal_w[5] = 1e-6;
+    expectPrunedMatchesExhaustive(params, twin, 3, "twin peaks");
+    EXPECT_EQ(averagedBandMax(params, twin, 5, 3).freq_hz, 46e6);
+
+    // With the default noise, equal signals still read differently.
+    expectPrunedMatchesExhaustive(SpectrumAnalyzerParams{}, twin, 3,
+                                  "twin peaks, noisy");
+}
+
+TEST(SaBandPruning, OneBinAndSplitPairBandsMatchExhaustiveSearch)
+{
+    // Odd and even first and last bins: a noise pair (2j, 2j+1) may
+    // straddle either band edge.
+    const SpectrumAnalyzerParams params;
+    Rng rng(9);
+    for (const std::size_t first : {100u, 101u}) {
+        for (const std::size_t size : {1u, 2u, 3u, 64u, 65u}) {
+            SaBand band = syntheticBand(first, size, 0.0);
+            for (int trial = 0; trial < 8; ++trial) {
+                randomizePowers(band, rng);
+                expectPrunedMatchesExhaustive(params, band, rng.bits(),
+                                              "split pair");
+            }
+        }
+    }
+}
+
+TEST(SaBandPruning, NanAndInfiniteBinsMatchExhaustiveSearch)
+{
+    // A diverging transient feeds NaN and infinite powers through:
+    // NaN never wins, and the first of several infinities does.
+    const SpectrumAnalyzerParams params;
+    Rng rng(10);
+    SaBand band = syntheticBand(300, 200, 0.0);
+    const double specials[] = {kNaN, kInf, -kInf};
+    for (int trial = 0; trial < 24; ++trial) {
+        randomizePowers(band, rng);
+        for (int j = 0; j < 1 + trial % 4; ++j)
+            band.signal_w[static_cast<std::size_t>(rng.uniformInt(
+                0, static_cast<int>(band.size()) - 1))] =
+                specials[rng.uniformInt(0, 2)];
+        expectPrunedMatchesExhaustive(params, band, rng.bits(),
+                                      "specials");
+    }
+    std::fill(band.signal_w.begin(), band.signal_w.end(), kNaN);
+    expectPrunedMatchesExhaustive(params, band, 1, "all NaN");
+    EXPECT_EQ(averagedBandMax(params, band, 3, 1).power_dbm,
+              SaMarker{}.power_dbm);
+}
+
+TEST(SaBandPruning, TraceMarkersMatchExhaustiveSearch)
+{
+    const SpectrumAnalyzer sa(SpectrumAnalyzerParams{}, Rng(1));
+    const Trace traces[] = {sineTrace(67e6, 0.01, 4e9, 16000),
+                            sineTrace(76e6, 1e-7, 4e9, 16000),
+                            zeroTrace(4e9, 16000)};
+    for (const Trace &t : traces) {
+        const SaBand band = bandOf(sa.params(), t, 50e6, 200e6);
+        const SaMarker want =
+            exhaustiveBandMax(sa.params(), band, 30, 0x77ull);
+        const SaMarker got =
+            sa.averagedMaxAmplitude(t, 50e6, 200e6, 30, 0x77ull);
+        EXPECT_EQ(got.power_dbm, want.power_dbm);
+        EXPECT_EQ(got.freq_hz, want.freq_hz);
+    }
 }
 
 TEST(SpectrumAnalyzer, SpanFiltersBins)
