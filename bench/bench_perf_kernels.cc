@@ -184,9 +184,10 @@ peakRssMib()
  * One full EM fitness evaluation (paper budget). Besides wall time,
  * reports the full-rate samples buffered per evaluation and the
  * growth of the process peak RSS across the bench — the streamed
- * measurement should buffer nothing and leave the high-water mark
- * where it found it. BM_PlatformRunKernelBatch times the batch-trace
- * oracle the tests compare it against.
+ * measurement should buffer only the antenna window its detector
+ * transforms and leave the high-water mark where it found it.
+ * BM_PlatformRunKernelBatch times the batch-trace oracle the tests
+ * compare it against.
  */
 void
 BM_FullEmFitnessEvaluation(benchmark::State &state)

@@ -136,23 +136,17 @@ EmAmplitudeFitness::evaluate(const isa::Kernel &kernel,
                 + latency_.timeout_s);
     const double lab_seconds =
         labSecondsPerIndividual(latency_, settings_.sa_samples);
-    // Stream the antenna voltage straight into a Goertzel band
-    // detector: no waveform is ever buffered.
+    // Stream the antenna voltage into the band detector, which
+    // buffers the one window it transforms; the transform tables are
+    // shared by every evaluation of this capture geometry.
     std::optional<instruments::SaBandDetector> det;
+    std::size_t buffered = 0;
     streamMeasurement(
         kernel, attempt, &platform::StreamObservers::em, lab_seconds,
         [&](const platform::StreamPlan &plan) -> SampleSink & {
-            const double rate = 1.0 / plan.dt;
-            if (!bank_ || bank_n_ != plan.n_samples
-                || bank_rate_hz_ != rate) {
-                bank_ = std::make_unique<dsp::GoertzelBank>(
-                    plan.n_samples, rate, settings_.f_lo_hz,
-                    settings_.f_hi_hz,
-                    plat().analyzer().params().window);
-                bank_n_ = plan.n_samples;
-                bank_rate_hz_ = rate;
-            }
-            return det.emplace(plat().analyzer().params(), *bank_,
+            buffered = plan.n_samples;
+            return det.emplace(plat().analyzer().params(),
+                               plan.n_samples, 1.0 / plan.dt,
                                settings_.f_lo_hz, settings_.f_hi_hz);
         });
     const instruments::SaMarker marker = det->averagedMaxAmplitude(
@@ -164,7 +158,7 @@ EmAmplitudeFitness::evaluate(const isa::Kernel &kernel,
         detail->dominant_freq_hz = marker.freq_hz;
         detail->metric_raw = marker.power_dbm;
         detail->measurement_seconds = lab_seconds;
-        detail->samples_materialized = 0;
+        detail->samples_materialized = buffered;
     }
     return marker.power_dbm;
 }

@@ -31,7 +31,6 @@
 #include <memory>
 #include <string>
 
-#include "dsp/goertzel.h"
 #include "ga/fault_injector.h"
 #include "ga/ga_engine.h"
 #include "ga/target_connection.h"
@@ -212,15 +211,6 @@ class EmAmplitudeFitness : public PlatformFitness
                        const EvalSettings &settings)
         : PlatformFitness(std::move(owned), settings)
     {}
-
-    // Cached Goertzel bank for the streaming detector: every
-    // evaluation of this instance shares one capture geometry, and
-    // building a bank costs a full pass of the recurrence. Clones
-    // build their own (each worker thread owns its evaluator, so no
-    // synchronization is needed).
-    std::unique_ptr<dsp::GoertzelBank> bank_;
-    std::size_t bank_n_ = 0;
-    double bank_rate_hz_ = 0.0;
 };
 
 /**

@@ -1,153 +1,16 @@
 /**
  * @file
- * Goertzel detector bank: streaming evaluation of a selected set of
- * DFT bins. Where computeSpectrum() stores the whole capture and runs
- * an FFT over every bin, a Goertzel bank updates one second-order
- * recurrence per watched bin as samples arrive — the shape of a real
- * spectrum analyzer's narrowband detector, and O(bins) memory instead
- * of O(duration).
- *
- * The bank replicates computeSpectrum()'s calibration exactly: bins
- * sit on the grid f_k = (sample_rate / nextPowerOfTwo(n)) * k, the
- * input is windowed, the DC mean is removed, and amplitudes are
- * scaled by sqrt(2) / (n * coherent_gain) to volts RMS. Mean removal
- * is folded in after the fact via the precomputed window DFT: with
- * Z(a) = sum_i a[i] e^{-j w i},
- *
- *     Z((x - m) .* w) = Z(x .* w) - m * Z(w),
- *
- * so one streaming pass accumulates Z(x .* w) per bin plus the plain
- * sum of x, and the batch-identical mean correction happens at
- * read-out. Agreement with the FFT path is limited only by the
- * recurrence's rounding (~1e-12 relative for the capture lengths
- * used here, orders below the 1e-6 dB parity budget).
+ * Former name of the band detector's plan, kept for callers that
+ * still spell it this way.
  */
 
 #ifndef EMSTRESS_DSP_GOERTZEL_H
 #define EMSTRESS_DSP_GOERTZEL_H
 
-#include <array>
-#include <cstddef>
-#include <vector>
+#include "dsp/spectrum.h"
 
-#include "dsp/window.h"
-#include "util/hotpath.h"
-
-namespace emstress {
-namespace dsp {
-
-/**
- * Immutable description of a Goertzel bank: which FFT-grid bins of an
- * n-sample windowed capture fall inside [f_lo, f_hi], plus the
- * per-bin recurrence coefficients and the window's own DFT values
- * needed for mean correction. Build once per (n, band) pair and share
- * across accumulators.
- */
-class GoertzelBank
-{
-  public:
-    /**
-     * @param n              Number of input samples each accumulator
-     *                       will consume (the batch capture length).
-     * @param sample_rate_hz Input sample rate.
-     * @param f_lo, f_hi     Band of interest; bins with grid
-     *                       frequency inside [f_lo, f_hi] are watched
-     *                       (same comparisons as maxPeakInBand).
-     * @param window         Window kind, matching the batch spectrum.
-     */
-    GoertzelBank(std::size_t n, double sample_rate_hz, double f_lo,
-                 double f_hi, WindowKind window);
-
-    /** Samples each accumulator must consume. */
-    std::size_t inputSize() const { return n_; }
-
-    /** Number of watched bins. */
-    std::size_t size() const { return freq_.size(); }
-
-    /** FFT zero-padded length the bin grid derives from. */
-    std::size_t nfft() const { return nfft_; }
-
-    /** Bin spacing [Hz], identical to Spectrum::binWidth(). */
-    double binWidthHz() const { return df_; }
-
-    /** Grid frequency of watched bin i [Hz]. */
-    double freqHz(std::size_t i) const { return freq_[i]; }
-
-    /** FFT bin index of watched bin i. */
-    std::size_t binIndex(std::size_t i) const { return k_[i]; }
-
-    /** Window coefficient for input sample index i. */
-    double windowAt(std::size_t i) const { return win_[i]; }
-
-  private:
-    friend class GoertzelAccumulator;
-
-    std::size_t n_;
-    std::size_t nfft_;
-    double df_;
-    double scale_; ///< sqrt(2) / (n * coherent_gain).
-    std::vector<double> win_;
-
-    // Watched bins, struct-of-arrays so the per-sample update loop
-    // vectorizes.
-    std::vector<std::size_t> k_;
-    std::vector<double> freq_;
-    std::vector<double> coeff_; ///< 2 cos(w_k).
-    std::vector<double> cosw_;
-    std::vector<double> sinw_;
-    std::vector<double> win_re_; ///< Re Z(w) at bin k.
-    std::vector<double> win_im_; ///< Im Z(w) at bin k.
-};
-
-/**
- * Per-stream Goertzel state: one (s1, s2) pair per watched bin plus
- * the running input sum for mean correction. push() each of the
- * bank's inputSize() samples, then read amplitudesVrms().
- */
-class GoertzelAccumulator
-{
-  public:
-    /** The bank must outlive the accumulator. */
-    explicit GoertzelAccumulator(const GoertzelBank &bank);
-
-    /** Consume the next input sample. */
-    void push(double v);
-
-    /** Samples consumed so far. */
-    std::size_t count() const { return count_; }
-
-    /**
-     * Mean-corrected band amplitudes in volts RMS, one per watched
-     * bin, matching computeSpectrum().amps_vrms at the same bins
-     * (bin 0, when watched, reports 0 like the batch DC rule).
-     * @pre exactly inputSize() samples have been pushed.
-     */
-    std::vector<double> amplitudesVrms() const;
-
-  private:
-    /**
-     * Run the buffered windowed samples through every bin. Cloned
-     * per ISA width (lanes are independent bins, so every clone is
-     * bit-identical; see util/hotpath.h).
-     */
-    EMSTRESS_TARGET_CLONES void flushBlock();
-
-    // Samples are buffered in small blocks so each bin's (s1, s2)
-    // pair is loaded once per block instead of once per sample; the
-    // per-bin update sequence is unchanged, so results stay bit-exact
-    // with the sample-at-a-time recurrence.
-    static constexpr std::size_t kBlock = 16;
-
-    const GoertzelBank &bank_;
-    std::vector<double> s1_;
-    std::vector<double> s2_;
-    std::array<double, kBlock> buf_{};
-    std::size_t buf_n_ = 0;
-    double sum_ = 0.0;
-    std::size_t count_ = 0;
-};
-
-} // namespace dsp
-} // namespace emstress
+namespace emstress::dsp {
+using GoertzelBank = BandPlan;
+} // namespace emstress::dsp
 
 #endif // EMSTRESS_DSP_GOERTZEL_H

@@ -21,10 +21,7 @@ namespace {
 /** Marker level of a band with no bins (SaMarker's default). */
 const double kEmptyBandW = dbmToWatts(SaMarker{}.power_dbm);
 
-/**
- * The analyzer's measurement noise: the one source both the batch and
- * the streaming paths draw readings from.
- */
+/** The analyzer's measurement noise: every reading draws from it. */
 class SweepNoise
 {
   public:
@@ -186,87 +183,11 @@ sweepMax(const SaBand &band, const std::vector<std::size_t> &order,
     return best;
 }
 
-SaMarker
-toMarker(const BandMax &m)
-{
-    SaMarker out;
-    out.freq_hz = m.freq_hz;
-    out.power_dbm = wattsToDbm(std::max(m.watts, 1e-30));
-    return out;
-}
-
-/**
- * RMS of n_samples sweeps' band maxima, in dBm, with the median
- * marker frequency: the median is robust to occasional noise-floor
- * wins on weak signals.
- */
-SaMarker
-rmsOfSweeps(const SaBand &band, const SweepNoise &noise,
-            std::size_t n_samples)
-{
-    requireConfig(n_samples >= 1, "need at least one sample");
-    const std::vector<std::size_t> order = strongestFirst(band);
-    double sum_sq_w = 0.0;
-    std::vector<double> freqs;
-    freqs.reserve(n_samples);
-    for (std::size_t i = 0; i < n_samples; ++i) {
-        const BandMax m = sweepMax(band, order, noise, i);
-        const double p_w = std::max(m.watts, 1e-30);
-        sum_sq_w += p_w * p_w;
-        freqs.push_back(m.freq_hz);
-    }
-    const double rms_w =
-        std::sqrt(sum_sq_w / static_cast<double>(n_samples));
-    std::sort(freqs.begin(), freqs.end());
-    SaMarker out;
-    out.power_dbm = wattsToDbm(std::max(rms_w, 1e-30));
-    out.freq_hz = freqs[freqs.size() / 2];
-    return out;
-}
-
 void
 requireDisplayBins(bool any)
 {
     requireSim(any, "sweep produced no bins inside the display span; "
                     "check sample rate versus f_start/f_stop");
-}
-
-/**
- * The displayed in-band bins of a Goertzel capture: the bank's bins
- * (on the FFT grid f_k = df·k, as computeSpectrum()'s) that also lie
- * inside the display span. Checks, like a full sweep, that the
- * display span holds at least one grid bin.
- */
-SaBand
-goertzelBandBins(const SpectrumAnalyzerParams &params,
-                 const dsp::GoertzelBank &bank,
-                 const dsp::GoertzelAccumulator &acc, double f_lo,
-                 double f_hi)
-{
-    const double df = bank.binWidthHz();
-    bool displayed = false;
-    for (std::size_t k = 0; k < bank.nfft() / 2; ++k) {
-        const double f = df * static_cast<double>(k);
-        if (f > params.f_stop_hz)
-            break;
-        if (f >= params.f_start_hz) {
-            displayed = true;
-            break;
-        }
-    }
-    requireDisplayBins(displayed);
-
-    const std::vector<double> amps = acc.amplitudesVrms();
-    SaBand band;
-    for (std::size_t i = 0; i < bank.size(); ++i) {
-        const std::size_t k = bank.binIndex(i);
-        const double f = df * static_cast<double>(k);
-        if (inSpan(f, params.f_start_hz, params.f_stop_hz)
-            && inSpan(f, f_lo, f_hi))
-            addBin(band, k, f,
-                   voltsRmsToWatts(amps[i], params.ref_impedance));
-    }
-    return band;
 }
 
 } // namespace
@@ -283,7 +204,27 @@ SaMarker
 averagedBandMax(const SpectrumAnalyzerParams &params, const SaBand &band,
                 std::size_t n_samples, std::uint64_t noise_key)
 {
-    return rmsOfSweeps(band, SweepNoise(params, noise_key), n_samples);
+    requireConfig(n_samples >= 1, "need at least one sample");
+    const SweepNoise noise(params, noise_key);
+    const std::vector<std::size_t> order = strongestFirst(band);
+    double sum_sq_w = 0.0;
+    std::vector<double> freqs;
+    freqs.reserve(n_samples);
+    for (std::size_t i = 0; i < n_samples; ++i) {
+        const BandMax m = sweepMax(band, order, noise, i);
+        const double p_w = std::max(m.watts, 1e-30);
+        sum_sq_w += p_w * p_w;
+        freqs.push_back(m.freq_hz);
+    }
+    const double rms_w =
+        std::sqrt(sum_sq_w / static_cast<double>(n_samples));
+    // The median frequency is robust to occasional noise-floor wins
+    // on weak signals.
+    std::sort(freqs.begin(), freqs.end());
+    SaMarker out;
+    out.power_dbm = wattsToDbm(std::max(rms_w, 1e-30));
+    out.freq_hz = freqs[freqs.size() / 2];
+    return out;
 }
 
 SpectrumAnalyzer::SpectrumAnalyzer(const SpectrumAnalyzerParams &params,
@@ -375,66 +316,81 @@ SpectrumAnalyzer::averagedMaxAmplitude(const Trace &v_received,
 {
     requireConfig(n_samples >= 1, "need at least one sample");
     // The underlying signal is unchanged between the N sweeps; only
-    // measurement noise varies, so compute the spectrum once.
-    const auto spec = dsp::computeSpectrum(v_received, params_.window);
-    bool displayed = false;
-    SaBand band;
-    for (std::size_t k = 0; k < spec.size(); ++k) {
-        const double f = spec.freqs_hz[k];
-        if (!inSpan(f, params_.f_start_hz, params_.f_stop_hz))
-            continue;
-        displayed = true;
-        if (inSpan(f, f_lo, f_hi))
-            addBin(band, k, f,
-                   voltsRmsToWatts(spec.amps_vrms[k],
-                                   params_.ref_impedance));
-    }
-    requireDisplayBins(displayed);
-    return rmsOfSweeps(band, SweepNoise(params_, noise_key), n_samples);
+    // measurement noise varies, so transform the capture once.
+    SaBandDetector det(params_, v_received.size(),
+                       v_received.sampleRate(), f_lo, f_hi);
+    for (double v : v_received.samples())
+        det.push(v);
+    det.finish();
+    return det.averagedMaxAmplitude(n_samples, noise_key);
 }
 
 SaBandDetector::SaBandDetector(const SpectrumAnalyzerParams &params,
                                std::size_t n_in, double sample_rate_hz,
                                double f_lo, double f_hi)
-    : params_(params), f_lo_(f_lo), f_hi_(f_hi),
-      owned_bank_(std::in_place, n_in, sample_rate_hz, f_lo, f_hi,
-                  params.window),
-      bank_(*owned_bank_), goertzel_(bank_)
+    : SaBandDetector(params,
+                     dsp::BandPlan(n_in, sample_rate_hz, f_lo, f_hi,
+                                   params.window),
+                     f_lo, f_hi)
 {
-    requireConfig(params.f_stop_hz > params.f_start_hz,
-                  "analyzer stop frequency must exceed start");
-    requireConfig(params.ref_impedance > 0.0,
-                  "reference impedance must be positive");
 }
 
 SaBandDetector::SaBandDetector(const SpectrumAnalyzerParams &params,
-                               const dsp::GoertzelBank &bank,
-                               double f_lo, double f_hi)
-    : params_(params), f_lo_(f_lo), f_hi_(f_hi), bank_(bank),
-      goertzel_(bank_)
+                               const dsp::BandPlan &plan, double f_lo,
+                               double f_hi)
+    : params_(params), f_lo_(f_lo), f_hi_(f_hi), plan_(plan)
 {
     requireConfig(params.f_stop_hz > params.f_start_hz,
                   "analyzer stop frequency must exceed start");
     requireConfig(params.ref_impedance > 0.0,
                   "reference impedance must be positive");
+    buf_.reserve(plan_.spectrum().nfft());
 }
 
-SaMarker
-SaBandDetector::maxAmplitude(Rng &noise) const
+void
+SaBandDetector::finish()
 {
-    const SaBand band =
-        goertzelBandBins(params_, bank_, goertzel_, f_lo_, f_hi_);
-    return toMarker(sweepMax(band, strongestFirst(band),
-                             SweepNoise(params_, noise.bits()), 0));
+    requireSim(buf_.size() == plan_.inputSize(),
+               "band detector was fed a capture of the wrong length");
+    buf_.resize(plan_.spectrum().nfft());
+    plan_.spectrum().transform(buf_);
+    finished_ = true;
+}
+
+SaBand
+SaBandDetector::band() const
+{
+    requireSim(finished_, "band detector read before finish()");
+    const dsp::SpectrumPlan &spec = plan_.spectrum();
+    // Like a full sweep, require the display span to hold a grid bin.
+    bool displayed = false;
+    for (std::size_t k = 0; k < spec.nfft() / 2; ++k) {
+        const double f = plan_.freqHz(k);
+        if (f > params_.f_stop_hz)
+            break;
+        if (f >= params_.f_start_hz) {
+            displayed = true;
+            break;
+        }
+    }
+    requireDisplayBins(displayed);
+    SaBand band;
+    for (std::size_t k = plan_.firstBin(); k < plan_.endBin(); ++k) {
+        const double f = plan_.freqHz(k);
+        if (inSpan(f, params_.f_start_hz, params_.f_stop_hz)
+            && inSpan(f, f_lo_, f_hi_))
+            addBin(band, k, f,
+                   voltsRmsToWatts(spec.amplitudeVrms(buf_, k),
+                                   params_.ref_impedance));
+    }
+    return band;
 }
 
 SaMarker
 SaBandDetector::averagedMaxAmplitude(std::size_t n_samples,
                                      std::uint64_t noise_key) const
 {
-    return rmsOfSweeps(
-        goertzelBandBins(params_, bank_, goertzel_, f_lo_, f_hi_),
-        SweepNoise(params_, noise_key), n_samples);
+    return averagedBandMax(params_, band(), n_samples, noise_key);
 }
 
 SaMarker

@@ -14,10 +14,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
-#include "dsp/goertzel.h"
 #include "dsp/spectrum.h"
 #include "util/rng.h"
 #include "util/sample_sink.h"
@@ -93,18 +91,15 @@ SaMarker averagedBandMax(const SpectrumAnalyzerParams &params,
 /**
  * Streaming band-max detector: the SampleSink counterpart of feeding
  * a received-voltage trace through
- * SpectrumAnalyzer::averagedMaxAmplitude(). A Goertzel bank watches
- * only the FFT-grid bins inside [f_lo, f_hi], so memory is O(band
- * bins), not O(capture).
+ * SpectrumAnalyzer::averagedMaxAmplitude(), which is in fact this
+ * detector fed from the trace. It buffers the capture (one
+ * zero-padded transform length of doubles), and finish() runs the
+ * analyzer's mean-removed, windowed transform on it with the shared
+ * plan for the capture geometry.
  *
  * Measurement noise is counter-keyed (see SpectrumAnalyzer): each
  * (sweep, grid bin) cell's noise is a pure function of the noise key,
- * so only the in-band bins are drawn and a given key yields the same
- * markers as the batch instrument (amplitudes agree to the Goertzel
- * recurrence's ~1e-12 relative rounding).
- *
- * Not copyable or movable: the Goertzel accumulator references the
- * bank member. Construct in place (e.g. std::optional::emplace).
+ * so only in-band bins are drawn, and only those that can still win.
  */
 class SaBandDetector final : public SampleSink
 {
@@ -121,34 +116,23 @@ class SaBandDetector final : public SampleSink
                    double f_lo, double f_hi);
 
     /**
-     * Share a prebuilt bank instead of constructing one: building a
-     * bank costs a full pass of the recurrence, so callers that
-     * measure the same capture geometry repeatedly (e.g. GA fitness
-     * evaluation) should build the bank once and reuse it. The bank
-     * must have been constructed with this same (n_in, sample rate,
-     * f_lo, f_hi) tuple and must outlive the detector.
+     * Measure on a caller's band plan. The plan's window must be the
+     * analyzer's; its bins outside [f_lo, f_hi] are not searched.
      */
     SaBandDetector(const SpectrumAnalyzerParams &params,
-                   const dsp::GoertzelBank &bank, double f_lo,
-                   double f_hi);
+                   const dsp::BandPlan &plan, double f_lo, double f_hi);
 
-    SaBandDetector(const SaBandDetector &) = delete;
-    SaBandDetector &operator=(const SaBandDetector &) = delete;
-
-    void push(double v) override { goertzel_.push(v); }
+    void push(double v) override { buf_.push_back(v); }
 
     /**
-     * One noisy sweep's band maximum, as
-     * SpectrumAnalyzer::maxAmplitude(sweep(...)) with the same noise
-     * key. Draws the key from `noise` (one word).
-     * @pre the full capture has been pushed.
+     * Transform the capture.
+     * @pre exactly n_in samples have been pushed.
      */
-    SaMarker maxAmplitude(Rng &noise) const;
+    void finish() override;
 
     /**
-     * The paper's RMS-of-N-sweeps statistic, matching the batch
-     * SpectrumAnalyzer::averagedMaxAmplitude for the same noise key.
-     * @pre the full capture has been pushed.
+     * The paper's RMS-of-N-sweeps statistic (see averagedBandMax).
+     * @pre finish() has run.
      */
     SaMarker averagedMaxAmplitude(std::size_t n_samples,
                                   std::uint64_t noise_key) const;
@@ -158,12 +142,15 @@ class SaBandDetector final : public SampleSink
                                   Rng &noise) const;
 
   private:
+    /** The displayed bins inside the band. */
+    SaBand band() const;
+
     SpectrumAnalyzerParams params_;
     double f_lo_;
     double f_hi_;
-    std::optional<dsp::GoertzelBank> owned_bank_;
-    const dsp::GoertzelBank &bank_; ///< owned_bank_ or the caller's.
-    dsp::GoertzelAccumulator goertzel_;
+    dsp::BandPlan plan_;
+    std::vector<double> buf_;
+    bool finished_ = false;
 };
 
 /**

@@ -7,15 +7,14 @@
  * (here AVX2 plus the baseline) and an ifunc resolver picks the
  * widest one the CPU supports at load time.
  *
- * This is only applied to kernels whose vector lanes carry
- * *independent* elements (one Goertzel bin per lane, one state row
- * per lane). Widening the vector changes how many independent
- * recurrences advance per instruction, never the order of operations
- * within any one of them — so every clone produces bit-identical
- * results and the determinism contract (identical output across
- * machines, thread counts, and replay) is preserved. Do not use it
- * on reductions or anything whose FP association depends on lane
- * count.
+ * Its one user is the PDN transient's state update, whose vector
+ * lanes carry *independent* state rows. Widening the vector changes
+ * how many independent rows advance per instruction, never the order
+ * of operations within any one of them — so every clone produces
+ * bit-identical results and the determinism contract (identical
+ * output across machines, thread counts, and replay) is preserved.
+ * Apply it only to kernels of that shape: never to reductions or
+ * anything whose FP association depends on lane count.
  *
  * FMA is intentionally *not* in the clone list, and src/ builds
  * with -ffp-contract=off: fused multiply-add rounds a*b+c once

@@ -31,22 +31,25 @@
 namespace emstress {
 
 /**
- * Version of the draw algorithms and the measurement-noise model.
- * Every content address of a computed result (the service's job
- * fingerprint, the bench virus cache's budget fingerprint) includes
- * it, so results computed under an older noise model are never
- * served as current. Bump it whenever any draw below, or the way an
- * instrument consumes draws, changes.
+ * Version of the draw algorithms and the analyzer readings they
+ * perturb. Every content address of a computed result (the service's
+ * job fingerprint, the bench virus cache's budget fingerprint)
+ * includes it, so results computed under an older model are never
+ * served as current. Bump it whenever any draw below, the way an
+ * instrument consumes draws, or the noiseless readings the draws
+ * act on change.
  *
  * History: 1 — spectrum-analyzer noise replayed in stream order,
  * three gaussians per displayed bin; 2 — counter-keyed analyzer
- * noise, drawn for in-band bins only. The Rng stream draws moved
+ * noise, drawn for in-band bins only; 3 — streamed band powers come
+ * from the analyzer's own FFT instead of a Goertzel bank, and every
+ * spectrum runs the table-twiddle real FFT. The Rng stream draws moved
  * from std distributions to this file in version 2 without changing
  * a single realization (they reproduce the algorithms libstdc++
  * used), so they need no bump of their own; nor did the V_MIN jitter
  * key's move from std::hash to stringHash, which reproduces it.
  */
-inline constexpr int kNoiseModelVersion = 2;
+inline constexpr int kNoiseModelVersion = 3;
 
 /**
  * splitmix64 finalizer: scrambles a 64-bit value into a well-mixed

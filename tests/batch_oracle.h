@@ -5,8 +5,7 @@
  * PeakToPeakFitness measure, but from whole materialized traces:
  * Platform::runKernelBatch, then SpectrumAnalyzer::averagedMaxAmplitude
  * (FFT sweeps) or Oscilloscope::capture. Its noise is keyed with the
- * production evaluators' salts, so the two must agree — bit-exactly
- * for the scope metrics, to within 1e-6 dB for the EM band maximum.
+ * production evaluators' salts, so the two must agree bit for bit.
  * It carries no fault model: TruncatedStream faults exist only on the
  * streaming path.
  *

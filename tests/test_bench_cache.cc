@@ -230,6 +230,12 @@ TEST_F(BenchCacheTest, PreviousNoiseModelEntriesNeverServe)
     EXPECT_TRUE(bench::cachedVirusServes(dir_, "v.quick", v1_fingerprint));
     EXPECT_FALSE(bench::cachedVirusServes(
         dir_, "v.quick", bench::budgetFingerprint(cfg)));
+
+    // Noise model 2 read band powers from a Goertzel bank; its
+    // entries were measured on other amplitudes and never serve.
+    const std::uint64_t v2_fingerprint = 0x354b1d9984d4022dull;
+    EXPECT_EQ(bench::fnv1a64(v1_desc + "|noise:v2"), v2_fingerprint);
+    EXPECT_NE(bench::budgetFingerprint(cfg), v2_fingerprint);
 }
 
 TEST_F(BenchCacheTest, PreFingerprintEntriesNeverServe)

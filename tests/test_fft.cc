@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
+#include <vector>
 
 #include "dsp/fft.h"
 #include "dsp/window.h"
@@ -138,6 +140,93 @@ TEST(Fft, ZeroPadsToNextPowerOfTwo)
     std::vector<double> sig(100, 1.0);
     const auto spec = fftReal(sig);
     EXPECT_EQ(spec.size(), 128u);
+}
+
+/**
+ * Largest |X[k] - DFT[k]| of a real signal's transform against a
+ * long-double direct DFT over the bins in `bins`, and the DFT's
+ * largest magnitude over those bins.
+ */
+struct DftGap
+{
+    long double max_err = 0.0L;
+    long double peak = 0.0L;
+};
+
+DftGap
+gapToDirectDft(const std::vector<double> &x,
+               const std::vector<std::complex<double>> &spec,
+               const std::vector<std::size_t> &bins)
+{
+    const std::size_t n = x.size();
+    // e^{-2πir/N} for every residue r, each from one long-double
+    // libm call: the oracle's twiddles carry no recurrence error.
+    std::vector<long double> c(n), s(n);
+    const long double two_pi = 6.283185307179586476925286766559L;
+    for (std::size_t r = 0; r < n; ++r) {
+        const long double a =
+            two_pi * static_cast<long double>(r) / static_cast<long double>(n);
+        c[r] = std::cos(a);
+        s[r] = -std::sin(a);
+    }
+    DftGap gap;
+    for (const std::size_t k : bins) {
+        long double re = 0.0L, im = 0.0L;
+        for (std::size_t i = 0; i < n; ++i) {
+            const std::size_t r = (k * i) % n;
+            re += static_cast<long double>(x[i]) * c[r];
+            im += static_cast<long double>(x[i]) * s[r];
+        }
+        const long double dr = static_cast<long double>(spec[k].real()) - re;
+        const long double di = static_cast<long double>(spec[k].imag()) - im;
+        gap.max_err = std::max(gap.max_err, std::sqrt(dr * dr + di * di));
+        gap.peak = std::max(gap.peak, std::sqrt(re * re + im * im));
+    }
+    return gap;
+}
+
+TEST(Fft, RealTransformMatchesLongDoubleDft)
+{
+    // A Hann-windowed tone in noise, as the analyzer sees it. Every
+    // bin at N = 4096; at N = 16384 every 16th bin plus both ends and
+    // the tone's neighbourhood (the direct DFT is quadratic).
+    for (const std::size_t n : {4096u, 16384u}) {
+        Rng rng(n);
+        std::vector<double> x(n);
+        for (std::size_t i = 0; i < n; ++i)
+            x[i] = 0.3 * std::sin(kTwoPi * 0.0187 * static_cast<double>(i))
+                + rng.gaussian(0.0, 0.05);
+        const auto w = makeWindow(WindowKind::Hann, n);
+        for (std::size_t i = 0; i < n; ++i)
+            x[i] *= w[i];
+        const auto spec = fftReal(x);
+        ASSERT_EQ(spec.size(), n);
+
+        std::vector<std::size_t> bins;
+        const std::size_t stride = n == 4096 ? 1 : 16;
+        for (std::size_t k = 0; k < n; k += stride)
+            bins.push_back(k);
+        const auto tone =
+            static_cast<std::size_t>(0.0187 * static_cast<double>(n));
+        for (std::size_t k = tone - 4; k <= tone + 4; ++k)
+            bins.push_back(k);
+        for (const std::size_t k :
+             {n / 2 - 1, n / 2, n / 2 + 1, n - tone, n - 1})
+            bins.push_back(k);
+
+        const DftGap gap = gapToDirectDft(x, spec, bins);
+        EXPECT_GT(gap.peak, 0.05L * static_cast<long double>(n));
+        EXPECT_LT(gap.max_err, 1e-12L * gap.peak) << "n=" << n;
+    }
+}
+
+TEST(Fft, RealFftRejectsBadLengthsAndBuffers)
+{
+    EXPECT_THROW(RealFft(1), ConfigError);
+    EXPECT_THROW(RealFft(12), ConfigError);
+    const RealFft fft(8);
+    std::vector<double> short_buf(4);
+    EXPECT_THROW(fft.transform(short_buf), SimulationError);
 }
 
 class WindowTest : public ::testing::TestWithParam<WindowKind>

@@ -192,6 +192,23 @@ TEST(SaBandPruning, EqualReadingsGoToTheLowestBin)
     // With the default noise, equal signals still read differently.
     expectPrunedMatchesExhaustive(SpectrumAnalyzerParams{}, twin, 3,
                                   "twin peaks, noisy");
+
+    // A power just below DBL_MAX reads +inf whenever its gain ripple
+    // tops ~1.03, tying with a truly infinite bin above it that the
+    // search draws first: the lower bin must still win those sweeps.
+    SaBand overflow = syntheticBand(60, 12, 1e-9);
+    overflow.signal_w[2] = 1.75e308;
+    overflow.signal_w[9] = kInf;
+    std::size_t lower_won = 0;
+    for (std::uint64_t key = 1; key <= 16; ++key) {
+        expectPrunedMatchesExhaustive(SpectrumAnalyzerParams{}, overflow,
+                                      key, "overflow tie");
+        const SaMarker m =
+            averagedBandMax(SpectrumAnalyzerParams{}, overflow, 1, key);
+        EXPECT_EQ(m.power_dbm, kInf);
+        lower_won += m.freq_hz == 62e6;
+    }
+    EXPECT_GT(lower_won, 0u);
 }
 
 TEST(SaBandPruning, OneBinAndSplitPairBandsMatchExhaustiveSearch)

@@ -229,6 +229,13 @@ TEST(JobModel, NoiseModelUpgradeInvalidatesStoredArtifacts)
     ArtifactStore store({});
     store.insert(v1_fingerprint, std::make_shared<const JobResult>());
     EXPECT_EQ(store.fetch(jobFingerprint(spec)), nullptr);
+
+    // Noise model 2's address (band powers from a Goertzel bank):
+    // those artifacts miss too.
+    const std::uint64_t v2_fingerprint = 0x4bf76d4b87427242ull;
+    EXPECT_NE(jobFingerprint(spec), v2_fingerprint);
+    store.insert(v2_fingerprint, std::make_shared<const JobResult>());
+    EXPECT_EQ(store.fetch(jobFingerprint(spec)), nullptr);
 }
 
 TEST(JobModel, CrossModeSpecsNeverShareAnArtifact)

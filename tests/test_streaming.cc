@@ -6,12 +6,12 @@
  * them, and the whole-trace runStream and V_MIN ladder oracles)
  * serves as the oracle and the streaming sinks
  * (streamKernel, SaBandDetector, ScopeCaptureSink) must agree with
- * it — exactly for waveforms and scope metrics, to within 1e-6 dB
- * for the Goertzel-vs-FFT band maximum — all the way up to identical
- * GA search results across thread counts.
+ * it bit for bit — waveforms, scope metrics and EM band maxima — all
+ * the way up to identical GA search results across thread counts.
  */
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -19,6 +19,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -337,7 +338,7 @@ TEST(StreamingVmin, VminRowsMatchTraceLadderOracleAthlon)
 }
 
 // ---------------------------------------------------------------
-// Spectrum analyzer: Goertzel band max vs FFT sweep band max.
+// Spectrum analyzer: streamed band detector vs batch analyzer.
 // ---------------------------------------------------------------
 
 TEST(StreamingInstruments, GoertzelBandMaxMatchesFftSweep)
@@ -366,17 +367,18 @@ TEST(StreamingInstruments, GoertzelBandMaxMatchesFftSweep)
         const auto stream =
             det.averagedMaxAmplitude(5, noise_stream);
 
-        EXPECT_NEAR(stream.power_dbm, batch.power_dbm, 1e-6)
+        // One transform on both paths: the markers agree bit for bit.
+        EXPECT_EQ(stream.power_dbm, batch.power_dbm)
             << "f_clk=" << f_clk;
-        EXPECT_DOUBLE_EQ(stream.freq_hz, batch.freq_hz);
+        EXPECT_EQ(stream.freq_hz, batch.freq_hz);
 
         // Single-sweep markers agree too.
         Rng n1(123), n2(123);
         const auto s1 = plat.analyzer().averagedMaxAmplitude(
             run.em, f_lo, f_hi, 1, n1);
         const auto s2 = det.averagedMaxAmplitude(1, n2);
-        EXPECT_NEAR(s2.power_dbm, s1.power_dbm, 1e-6);
-        EXPECT_DOUBLE_EQ(s2.freq_hz, s1.freq_hz);
+        EXPECT_EQ(s2.power_dbm, s1.power_dbm);
+        EXPECT_EQ(s2.freq_hz, s1.freq_hz);
     }
 }
 
@@ -409,8 +411,7 @@ TEST(StreamingInstruments, NarrowingTheBandKeepsEveryInBandReading)
             det.push(v);
         det.finish();
         const auto stream = det.averagedMaxAmplitude(1, key);
-        EXPECT_NEAR(stream.power_dbm, full.power_dbm[k], 1e-6)
-            << "f=" << f;
+        EXPECT_EQ(stream.power_dbm, full.power_dbm[k]) << "f=" << f;
         EXPECT_EQ(stream.freq_hz, f);
         ++checked;
     }
@@ -441,6 +442,68 @@ TEST(StreamingInstruments, NarrowingTheBandKeepsEveryInBandReading)
         EXPECT_NEAR(got.power_dbm, want_dbm, 1e-9) << band[0];
         EXPECT_EQ(got.freq_hz, freqs[kSweeps / 2]) << band[0];
     }
+}
+
+TEST(StreamingInstruments, SharedSpectrumPlansAreBuiltOnceAcrossThreads)
+{
+    // Evaluator clones on many threads ask for the same capture
+    // geometries at once. Each geometry's plan is built once and
+    // shared, and detectors on every thread read identical markers
+    // from it.
+    constexpr std::size_t kThreads = 8;
+    const std::size_t sizes[] = {6000, 6001, 12000};
+    constexpr double kRate = 4e9;
+    Trace signal(1.0 / kRate);
+    Rng rng(5);
+    for (std::size_t i = 0; i < 12000; ++i)
+        signal.push(1e-3
+                        * std::sin(kTwoPi * 76e6
+                                   * static_cast<double>(i) / kRate)
+                    + rng.gaussian(0.0, 1e-5));
+    const instruments::SpectrumAnalyzerParams params;
+
+    struct Seen
+    {
+        std::vector<const dsp::SpectrumPlan *> plans;
+        std::vector<double> dbm;
+    };
+    std::vector<Seen> seen(kThreads);
+    std::atomic<bool> go{false};
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            while (!go.load())
+                std::this_thread::yield();
+            for (std::size_t j = 0; j < 3; ++j) {
+                // Threads start on different geometries.
+                const std::size_t n = sizes[(j + t) % 3];
+                const dsp::BandPlan plan(n, kRate, 50e6, 200e6,
+                                         params.window);
+                instruments::SaBandDetector det(params, plan, 50e6,
+                                                200e6);
+                for (std::size_t i = 0; i < n; ++i)
+                    det.push(signal[i]);
+                det.finish();
+                seen[t].plans.push_back(&plan.spectrum());
+                seen[t].dbm.push_back(
+                    det.averagedMaxAmplitude(30, 0x5eedull).power_dbm);
+            }
+        });
+    }
+    go.store(true);
+    for (auto &th : threads)
+        th.join();
+    for (std::size_t t = 0; t < kThreads; ++t) {
+        for (std::size_t j = 0; j < 3; ++j) {
+            // Slot j of thread t measured sizes[(j + t) % 3]; find
+            // thread 0's slot for the same geometry.
+            const std::size_t j0 = (j + t) % 3;
+            EXPECT_EQ(seen[t].plans[j], seen[0].plans[j0]) << t;
+            EXPECT_EQ(seen[t].dbm[j], seen[0].dbm[j0]) << t;
+        }
+    }
+    EXPECT_EQ(dsp::SpectrumPlan::shared(6000, params.window).get(),
+              seen[0].plans[0]);
 }
 
 // ---------------------------------------------------------------
@@ -494,11 +557,14 @@ TEST(StreamingFitness, EmAmplitudeAgreesWithBatchWithinMicroDb)
         ga::EvalDetail ds, db;
         const double fs = streaming.evaluate(k, &ds);
         const double fb = batch.evaluate(k, &db);
-        EXPECT_NEAR(fs, fb, 1e-6);
-        EXPECT_DOUBLE_EQ(ds.dominant_freq_hz, db.dominant_freq_hz);
-        // The streaming path buffers no full-rate waveform.
-        EXPECT_EQ(ds.samples_materialized, 0u);
-        EXPECT_GT(db.samples_materialized, 10000u);
+        EXPECT_EQ(fs, fb);
+        EXPECT_EQ(ds.dominant_freq_hz, db.dominant_freq_hz);
+        // The streaming path buffers the one antenna window it
+        // transforms; the batch path holds three whole traces.
+        const std::size_t n =
+            plat.runKernelBatch(k, fastEval().duration_s).em.size();
+        EXPECT_EQ(ds.samples_materialized, n);
+        EXPECT_LT(ds.samples_materialized, db.samples_materialized);
     }
 }
 
@@ -584,17 +650,15 @@ TEST(StreamingGa, EmSearchIdenticalAcrossThreadsAndNearBatch)
         EXPECT_EQ(r.best, serial.best) << threads << " threads";
         EXPECT_EQ(r.best_fitness, serial.best_fitness);
     }
-    // Against the batch FFT oracle the Goertzel recurrence differs
-    // only in the last bits (~1e-12 relative), far inside the GA's
-    // selection margins: same winner, same convergence history to
-    // within the 1e-6 dB budget.
+    // The batch oracle runs the same transform on the same window:
+    // same winner and the same convergence history, bit for bit.
     const auto batch = runSearch(VirusMetric::EmAmplitude, true, 1);
     EXPECT_EQ(serial.best, batch.best);
-    EXPECT_NEAR(serial.best_fitness, batch.best_fitness, 1e-6);
+    EXPECT_EQ(serial.best_fitness, batch.best_fitness);
     ASSERT_EQ(serial.history.size(), batch.history.size());
     for (std::size_t g = 0; g < serial.history.size(); ++g)
-        EXPECT_NEAR(serial.history[g].best_fitness,
-                    batch.history[g].best_fitness, 1e-6);
+        EXPECT_EQ(serial.history[g].best_fitness,
+                  batch.history[g].best_fitness);
 }
 
 // ---------------------------------------------------------------

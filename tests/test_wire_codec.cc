@@ -159,9 +159,9 @@ TEST(WireGolden, JobSpecBytesArePinned)
 TEST(WireGolden, JobFingerprintsArePinned)
 {
     EXPECT_EQ(hex(jobFingerprint(fullSpec(JobMode::kPassiveVirus))),
-              "0xbbf3a0ba152c25d3");
+              "0xbbf39fba152c2420");
     EXPECT_EQ(hex(jobFingerprint(fullSpec(JobMode::kActiveEmfi))),
-              "0x415579ad5b1d6880");
+              "0x21de89af9517711b");
 }
 
 TEST(WireGolden, JobResultBytesArePinnedOnBothPools)
