@@ -2,9 +2,9 @@
  * @file
  * Dense linear algebra for the circuit engine: a small row-major
  * matrix type and LU factorization with partial pivoting, templated
- * over double (transient analysis) and std::complex<double> (AC
- * analysis). MNA systems here are tiny (tens of unknowns), so a dense
- * solver is the right tool.
+ * over long double (transient realization), double (DC operating
+ * points) and std::complex<double> (AC analysis). MNA systems here
+ * are tiny (tens of unknowns), so a dense solver is the right tool.
  */
 
 #ifndef EMSTRESS_CIRCUIT_LINALG_H
@@ -24,6 +24,8 @@ namespace circuit {
 
 /** Magnitude helper usable for both real and complex scalars. */
 inline double scalarAbs(double x) { return std::abs(x); }
+/** @copydoc scalarAbs(double) */
+inline long double scalarAbs(long double x) { return std::abs(x); }
 /** @copydoc scalarAbs(double) */
 inline double scalarAbs(const std::complex<double> &x)
 {
@@ -147,9 +149,9 @@ class LuSolver
         for (std::size_t k = 0; k < n; ++k) {
             // Partial pivot: largest magnitude in column k at/below k.
             std::size_t piv = k;
-            double best = scalarAbs(lu_(k, k));
+            auto best = scalarAbs(lu_(k, k));
             for (std::size_t r = k + 1; r < n; ++r) {
-                const double m = scalarAbs(lu_(r, k));
+                const auto m = scalarAbs(lu_(r, k));
                 if (m > best) {
                     best = m;
                     piv = r;

@@ -1,58 +1,47 @@
 /**
  * @file
- * Fixed-step transient analysis over an MNA system. Storage rows use
+ * Fixed-step transient analysis over a state-space realization of an
+ * RLC netlist (DESIGN.md §12).
+ *
+ * The state holds only the storage elements: capacitor voltages and
+ * inductor currents, less one per capacitor loop or inductor cutset,
+ * whose constraints make some of them dependent. Every MNA unknown
+ * (node voltages, inductor and voltage-source branch currents) is an
+ * output row `x = C·z + D·u + x0` of that state and the current-source
+ * inputs u. The dynamics `dz/dt = A·z + B·u + b` are integrated with
  * the implicit trapezoidal rule — A-stable and amplitude-preserving
  * for LC tanks, which is essential here: the whole point of the PDN
- * model is resonant ringing. Pure algebraic rows (KCL at
- * storage-free nodes, voltage-source rows) are enforced exactly at
- * each new time point, removing the trapezoidal rule's spurious
- * index-1 averaging mode.
+ * model is resonant ringing. Because the outputs are read off the
+ * state at every time point, the network's algebraic constraints
+ * (KCL, KVL and the sources) hold exactly at each step.
  *
- * Two step implementations share that discretization (DESIGN.md §12):
+ * The state is kept in energy coordinates (each capacitor voltage
+ * scaled by √C, each inductor current by √L, on an orthonormal basis
+ * of what the constraints admit), where stored energy is half the
+ * squared norm. A network of positive R, L and C only loses energy,
+ * so `A + Aᵀ` is negative semidefinite there and the trapezoidal
+ * (Cayley) map `M = (I - hA/2)⁻¹(I + hA/2)` has 2-norm at most one:
+ * every power of it is safe to form and to apply. The engine checks
+ * this at construction (a fail-closed stability guard, see
+ * TransientAnalysis) and throws ConfigError for a netlist whose
+ * update grows within kStableHorizonSteps steps.
  *
- *  - TransientMethod::FastState (default): the PDN is a small
- *    fixed-topology *LTI* system on a fixed timestep, so the whole
- *    per-step linear solve is precomputable. At construction the
- *    engine forms the dense state-update `A = lhs⁻¹ · rhs_mult` and
- *    the per-source injection images once per (netlist, dt), as the
- *    compact linear-time-invariant form S' = T S + B u over the state
- *    S = [x | u_prev | 1]. A single step is one column-major T · S
- *    mat-vec plus one injection axpy per source, accumulated in a
- *    fixed column order (axpy order), which the vectorizer keeps in
- *    full SIMD lanes without reassociating any per-element sum —
- *    allocation-free and branch-free. Open-loop executions (run() and
- *    the PDN streaming sinks) further fold kStreamBlock steps into
- *    precomputed transition powers (TransientBlockStepper), reading
- *    probes through stacked power rows — roughly a 3x flop cut on
- *    PDN-sized systems over stepping every sample; the closed-loop
- *    TransientStepper takes the block stepper's own single step.
- *  - TransientMethod::ReferenceLu: the original per-step LU
- *    forward/back substitution, selected only by an explicit
- *    constructor argument. Algebraically identical, kept as the test
- *    oracle for the fast path.
- *    Known limitation: at extreme stiffness ratios (element C/dt some
- *    seven decades above the conductances, e.g. the PDN's 1 mF bulk
- *    capacitor at dt = 1e-10) the per-step substitution's rounding
- *    feeds a slowly growing mode (~e^(1e-4 per step), measured),
- *    while the precomputed state-update stays contractive —
- *    tests/test_transient_parity.cc pins the fast path's boundedness
- *    there.
+ * The realization is built once per (netlist, dt) in long double and
+ * stored in double. One engine serves every execution form — run(),
+ * the closed-loop TransientStepper and the open-loop
+ * TransientBlockStepper that the PDN streaming sinks drive — so batch
+ * and stream executions of one engine are bit-identical. Results are
+ * bit-identical run-to-run and across thread counts: the step
+ * arithmetic is sequential and the operation order is fixed.
  *
- * The fast path reassociates floating-point operations, so the two
- * paths agree only to kStateUpdateParityTol (not bit-exactly); the
- * contract is pinned by tests/test_transient_parity.cc. On either
- * path, results are bit-identical run-to-run and across thread
- * counts: the step arithmetic is sequential and the operation order
- * is fixed.
- *
- * Known limitation (trapezoidal's ρ(∞) = 1, i.e. "trapezoidal
- * ringing"): source discontinuities can leave a *bounded*,
- * non-decaying Nyquist-frequency ripple on chains of storage-free
- * nodes behind inductors. It is negligible (µV-scale) on the PDN
- * topologies this project ships, whose functional nodes all carry
- * capacitance; avoid building long cap-free R-L chains if µV
- * accuracy matters there, or low-pass the probe like the real
- * scopes do.
+ * Known limitation (trapezoidal's ρ(∞) = 1): a mode whose time
+ * constant is far below dt alternates sign from step to step while it
+ * decays instead of settling in one step, and where a current source
+ * drives an inductor directly (in series with it) the inductor's
+ * voltage, L·du/dt, takes the trapezoidal derivative estimate, which
+ * rings at the Nyquist frequency without decaying after a kink in the
+ * input. The shipped PDNs have no such source; low-pass the probe
+ * like the real scopes do if this matters.
  */
 
 #ifndef EMSTRESS_CIRCUIT_TRANSIENT_H
@@ -60,7 +49,6 @@
 
 #include <cstddef>
 #include <functional>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -104,52 +92,15 @@ struct TransientResult
     const Trace &trace(const std::string &label) const;
 };
 
-/** Which step implementation a TransientAnalysis uses. */
-enum class TransientMethod
-{
-    /// Precomputed dense state-update (default; fast).
-    FastState,
-    /// Per-step LU substitution (the tests' reference oracle).
-    ReferenceLu,
-};
-
-/**
- * Documented fast-vs-reference parity contract, pinned by
- * tests/test_transient_parity.cc. Two horizons, because the paths
- * are algebraically identical but not bit-identical, and weakly
- * damped modes integrate the per-step rounding difference:
- *
- *  - Short horizon (first kParityShortSteps steps from a common
- *    initial state): max |x_fast - x_lu| stays below
- *    kStateUpdateParityTolShort relative to the running max |x| of
- *    the reference — this is the "same algebra" check; measured
- *    agreement is orders tighter on non-stiff netlists.
- *  - Full trajectory (>= 1e5 steps): the relative divergence stays
- *    below kStateUpdateParityTol. On stiff production netlists (the
- *    PDN's 1 mF bulk capacitor) the slow tanks resonantly amplify
- *    per-step rounding noise to ~1e-3 relative before damping caps
- *    it, so a tighter whole-run bound would be dishonest for EITHER
- *    pair of valid solvers.
- *
- * On both horizons, algebraic-row constraints (G x = s on
- * storage-free rows) hold to solver precision on both paths.
- */
-inline constexpr double kStateUpdateParityTol = 1e-2;
-inline constexpr double kStateUpdateParityTolShort = 1e-7;
-inline constexpr std::size_t kParityShortSteps = 100;
-
 /**
  * Agreement contract between the blocked stream stepper
- * (TransientBlockStepper) on full blocks and the per-step fast path,
- * pinned by tests/test_transient_parity.cc: both advance the same
- * precomputed update, but a full block folds kStreamBlock steps into
- * powers of the transition matrix, so its rounding differs in the
- * low bits.
- * As with the LU-parity contract, weakly damped modes integrate the
- * per-step rounding difference: measured divergence on the stiff
- * production PDN reaches ~1e-8 relative within a few thousand
- * steps, leaving this bound ~7x of headroom over the horizons the
- * tests pin.
+ * (TransientBlockStepper) on full blocks and the per-step
+ * TransientStepper, pinned by tests/test_transient_parity.cc and
+ * tests/test_mitigation.cc: both advance the same realization, but a
+ * full block folds kStreamBlock steps into powers of the transition
+ * matrix, so its rounding differs in the low bits. Weakly damped
+ * modes integrate that difference; the bound is relative to the
+ * waveform's scale.
  */
 inline constexpr double kBlockedStreamParityTol = 1e-7;
 
@@ -157,15 +108,28 @@ inline constexpr double kBlockedStreamParityTol = 1e-7;
 /// TransientBlockStepper (also its input-buffer capacity).
 inline constexpr std::size_t kStreamBlock = 8;
 
+/// Horizon, in steps, over which the construction-time stability
+/// guard requires the blocked update not to grow: longer than any
+/// caller steps one engine (a paper-budget window is ~2e4 steps).
+inline constexpr std::size_t kStableHorizonSteps = 1'000'000;
+
 class TransientStepper;
 class TransientBlockStepper;
 
 /**
- * Reusable transient engine. Precomputes the trapezoidal
- * state-update (or factors the system matrix, for the reference
- * path) once per (netlist, dt) pair; run() can then be called many
- * times with different source waveforms — the usage pattern of a GA
- * that evaluates thousands of individuals against one PDN.
+ * Reusable transient engine. Builds the state-space realization and
+ * its block tables once per (netlist, dt) pair; run() can then be
+ * called many times with different source waveforms — the usage
+ * pattern of a GA that evaluates thousands of individuals against
+ * one PDN.
+ *
+ * In its stored form the state is σ_t = ξ_t - N·u_t - ξ*: the
+ * energy-coordinate storage state ξ less the part N·u the current
+ * input adds over the step, measured from the zero-input equilibrium
+ * ξ*. That removes both the input history and the constant supply
+ * from the state vector, so a step is
+ *   σ_{t+1} = M·σ_t + G·u_t,   x_t = y0 + C·σ_t + D·u_t,
+ * with M the trapezoidal map and y0 the zero-input operating point.
  */
 class TransientAnalysis
 {
@@ -177,25 +141,27 @@ class TransientAnalysis
      * Prepare the engine.
      * @param netlist Circuit to simulate (copied into the MNA form).
      * @param dt      Fixed timestep in seconds.
-     * @param method  Step implementation; ReferenceLu is the tests'
-     *                oracle.
+     * @throws ConfigError when the update grows within
+     *         kStableHorizonSteps steps (an active or numerically
+     *         unstable netlist).
+     * @throws SimulationError when the resistive network left by
+     *         replacing the storage elements with sources is singular
+     *         (a floating node).
      */
-    TransientAnalysis(const Netlist &netlist, double dt,
-                      TransientMethod method
-                      = TransientMethod::FastState);
-
-    ~TransientAnalysis();
-    TransientAnalysis(TransientAnalysis &&) noexcept;
-    TransientAnalysis &operator=(TransientAnalysis &&) noexcept;
+    TransientAnalysis(const Netlist &netlist, double dt);
 
     /** Timestep in seconds. */
     double dt() const { return dt_; }
 
-    /** The underlying MNA system (for index queries). */
+    /** The underlying MNA system (for output-index queries). */
     const MnaSystem &mna() const { return mna_; }
 
-    /** Step implementation. */
-    TransientMethod method() const { return method_; }
+    /**
+     * State length: one per capacitor and inductor, less one per
+     * capacitor loop or inductor cutset, plus one derivative estimate
+     * per current source when a source drives an inductor directly.
+     */
+    std::size_t stateCount() const { return ns_; }
 
     /**
      * Run for a number of steps starting from a DC operating point.
@@ -204,12 +170,12 @@ class TransientAnalysis
      * @param waveforms One waveform per current source, in
      *                  MnaSystem::currentSourceNames() order.
      * @param probes    Observation points to record.
-     * @param bias_currents Current-source values used to compute the
-     *                  initial DC operating point. Pass the mean of
-     *                  each waveform so slow storage elements start
-     *                  settled; empty means the waveforms' t = 0
-     *                  values. The trapezoidal source history always
-     *                  starts from the waveforms' t = 0 values.
+     * @param bias_currents Current-source values the circuit sat at
+     *                  before t = 0: the initial DC operating point
+     *                  and the trapezoidal rule's t = 0 history. Pass
+     *                  the mean of each waveform so slow storage
+     *                  elements start settled; empty means the
+     *                  waveforms' t = 0 values.
      */
     TransientResult run(std::size_t steps,
                         const std::vector<SourceWaveform> &waveforms,
@@ -224,123 +190,119 @@ class TransientAnalysis
      * voltage). The stepper references this engine; keep the engine
      * alive while stepping.
      *
-     * The initial-state convention is single and matches run(): the
-     * DC operating point is solved at `bias_currents` (falling back
-     * to `initial_currents`, then to the sources' netlist DC values)
-     * and the trapezoidal source history starts at
-     * `initial_currents` (falling back to `bias_currents`, then DC
-     * values) — no separate priming call exists or is needed. On the
-     * reference path `makeStepper(bias, {waveforms at t = 0})`
-     * replays run(steps, waveforms, probes, bias) bit-exactly; on
-     * the fast path run() executes the same algebra in kStreamBlock
-     * folds (see makeBlockStepper), so a per-step stepper agrees
-     * with it to kBlockedStreamParityTol while a block stepper fed
-     * run()'s block boundaries replays it bit-exactly. A fast-path
-     * stepper takes exactly the block stepper's single-step update,
-     * so it replays a block stepper advanced one step at a time
-     * bit-exactly.
-     *
-     * @param bias_currents    Current-source values for the initial
-     *        DC operating point.
-     * @param initial_currents Current-source values at t = 0 seeding
-     *        the trapezoidal source history.
+     * The initial-state convention is run()'s: the circuit sits at
+     * its DC operating point under `bias_currents` (empty means the
+     * sources' netlist DC values), which is also the trapezoidal
+     * history of the first step. A per-step stepper agrees with
+     * run() to kBlockedStreamParityTol (run() executes in
+     * kStreamBlock folds), and replays a block stepper advanced one
+     * step at a time bit-exactly: both take the same single step.
      */
     TransientStepper makeStepper(
-        std::span<const double> bias_currents = {},
-        std::span<const double> initial_currents = {}) const;
+        std::span<const double> bias_currents = {}) const;
 
     /**
-     * Create a blocked stream stepper: the high-throughput form of
-     * the fast path for open-loop streams, where the next source
-     * value never depends on the previous output. It folds
-     * kStreamBlock steps into precomputed powers of the transition
-     * matrix and reads only the requested probe rows per step, so a
-     * full block costs one dense update plus a handful of short
-     * dots instead of kStreamBlock full mat-vecs.
+     * Create a blocked stream stepper: the high-throughput form for
+     * open-loop streams, where the next source value never depends
+     * on the previous output. It folds kStreamBlock steps into
+     * precomputed powers of the transition matrix and reads only the
+     * requested output rows, so a full block costs one small dense
+     * mat-vec instead of kStreamBlock single steps.
      *
-     * Initial-state convention is identical to makeStepper (same
-     * bias/initial fallbacks). Full blocks agree with a per-step
-     * TransientStepper to kBlockedStreamParityTol (not bitwise: the
-     * matrix powers reassociate the same algebra), and are
-     * bit-identical run-to-run and across thread counts. run()'s
-     * fast path itself executes through this stepper with blocks
-     * aligned from step 1, so feeding one the same whole-block
-     * partition replays run() bit-exactly — the invariant that keeps
-     * streaming sinks sample-for-sample equal to batch simulation.
+     * Initial-state convention is makeStepper's. Full blocks agree
+     * with a per-step TransientStepper to kBlockedStreamParityTol
+     * (not bitwise: the matrix powers reassociate the same algebra),
+     * and are bit-identical run-to-run and across thread counts.
+     * run() itself executes through this stepper with blocks aligned
+     * from step 1, so feeding one the same whole-block partition
+     * replays run() bit-exactly — the invariant that keeps streaming
+     * sinks sample-for-sample equal to batch simulation.
      *
-     * @param probe_indices MNA state indices whose values stepBlock
-     *        reports per advanced step, in this order. The engine
-     *        must use TransientMethod::FastState.
+     * @param probe_indices MNA unknowns (MnaSystem::stateIndexOf...)
+     *        whose values stepBlock reports per advanced step, in
+     *        this order.
      */
     TransientBlockStepper makeBlockStepper(
         std::span<const double> bias_currents,
-        std::span<const double> initial_currents,
         std::span<const std::size_t> probe_indices) const;
 
   private:
     /**
-     * One fast-path step over the compact state: `s_next` =
-     * T · `s` + G_0 · `u`, with `u` (n_src values) moved into the
-     * u_prev slots and the constant slot set to 1. `s` and `s_next`
-     * are distinct buffers of q_ doubles. The accumulation order is
-     * fixed — the T columns four per sweep, then one injection axpy
-     * per source in source order — so results are bit-identical
-     * run-to-run and across thread counts. Shared by the per-step
-     * TransientStepper and the block stepper's tail.
+     * One step: `next` = M·`sigma` + G·`u`, the M columns four per
+     * sweep and then one axpy per source in source order, so results
+     * are bit-identical run-to-run and across thread counts. Shared
+     * by the per-step TransientStepper and the block stepper's tail.
+     * `sigma` and `next` are distinct buffers of rp_ doubles.
      */
-    void compactStep(const double *s, const double *u,
-                     double *s_next) const;
+    void step(const double *sigma, const double *u,
+              double *next) const;
 
     /**
-     * A stepper's initial state under the single (bias, initial)
-     * convention documented at makeStepper: the DC point x0 on the
-     * reference path, the compact state [x0 | u_prev | 1 | padding]
-     * on the fast path.
+     * MNA unknown `row` at the state `sigma` and input `u`:
+     * y0 + (C·σ + D·u), summed in one fixed order. Shared by
+     * TransientStepper::value and the block stepper's tail.
      */
-    std::vector<double> initialState(
-        std::span<const double> bias_currents,
-        std::span<const double> initial_currents) const;
+    double output(std::size_t row, const double *sigma,
+                  const double *u) const;
 
-    /** Precompute the compact fast-path tables tpow_ and gpow_. */
-    void buildStateUpdate();
+    /** `bias`, or the netlist DC values when it is empty. */
+    std::span<const double> biasOrDc(std::span<const double> bias) const;
+
+    /**
+     * The stored state at the DC operating point under `bias` (the
+     * equilibrium of the step under constant input): K·bias, padded
+     * to rp_ doubles. Empty `bias` means the netlist DC values.
+     */
+    std::vector<double> initialState(std::span<const double> bias) const;
+
+    /**
+     * Square the stored block update and single step out to
+     * kStableHorizonSteps steps and throw ConfigError if a Frobenius
+     * norm ever grows. In energy
+     * coordinates the Cayley map of a passive netlist has 2-norm at
+     * most one, under which squaring never increases the Frobenius
+     * norm (‖X²‖_F ≤ ‖X‖₂‖X‖_F), so growth beyond rounding marks an
+     * active or numerically unstable realization.
+     */
+    void checkStable() const;
 
     double dt_;
     MnaSystem mna_;
-    TransientMethod method_;
-    /// Prefactored left-hand matrix: trapezoidal (C/dt + G/2) on
-    /// dynamic rows, plain G on algebraic rows.
-    std::unique_ptr<LuSolver<double>> lhs_;
-    /// Right-hand multiplier: (C/dt - G/2) on dynamic rows, zero on
-    /// algebraic rows.
-    Matrix<double> rhs_mult_;
-    /// True for rows with no storage entries (pure constraints).
-    std::vector<bool> algebraic_row_;
+    std::size_t ns_ = 0;    ///< Storage states.
+    std::size_t rp_ = 0;    ///< ns_ rounded up to 4 (vector width).
+    std::size_t n_src_ = 0; ///< Current sources.
 
-    /// @{ FastState precomputation over the compact LTI form
-    ///   S = [x (xpad_ slots) | u_prev | 1 | zero padding]
-    /// of width q_ (multiple of 4): the x-rows of the transition
-    /// powers T^j for j = 1..kStreamBlock (column-major xpad_ x q_
-    /// blocks, concatenated) and of the input images G_m = T^m B
-    /// (xpad_ x n_src blocks, concatenated). T folds the state
-    /// transition A = lhs⁻¹ · rhs_mult, the trapezoidal u_prev images
-    /// and the constant voltage-source image; G_0 holds the u images.
-    /// Zero rows/columns pad every loop to whole 4-wide sweeps. Built
-    /// once per engine; shared by run() and every stepper, which is
+    /// @{ Realization tables, column-major with rp_-row columns and
+    /// zero padding rows, shared by run() and every stepper, which is
     /// what keeps batch and stream executions of one engine
     /// bit-identical.
-    std::size_t xpad_ = 0; ///< mna size rounded up to 4.
-    std::size_t q_ = 0;
-    std::vector<double> tpow_;
-    std::vector<double> gpow_;
+    std::vector<double> m1_;  ///< M, rp_ x rp_.
+    std::vector<double> g1_;  ///< G, rp_ x n_src_.
+    std::vector<double> mk_;  ///< M^k (k = kStreamBlock), rp_ x rp_.
+    /// Block input images [M^{k-1}G | ... | M G | G], rp_ x k·n_src_:
+    /// column m·n_src_ + s carries input s of the block's step m + 1.
+    std::vector<double> gam_;
+    std::vector<double> kbias_; ///< K, rp_ x n_src_ (initialState).
+    /// @}
+
+    /// @{ Output tables over all MNA unknowns (n = mna_.size()).
+    /// crow_: C·M^j for j = 0..k-1, k blocks of n rows x rp_ columns,
+    /// row-major. hrow_: H_j, k blocks of n x n_src_ row-major, with
+    /// H_0 = D the direct feedthrough and H_j = C·M^{j-1}·G the
+    /// response j steps after an input. y0_: the zero-input operating
+    /// point.
+    std::vector<double> crow_;
+    std::vector<double> hrow_;
+    std::vector<double> y0_;
     /// @}
 };
 
 /**
  * Incremental interface to a transient simulation: advance one
  * timestep at a time with caller-chosen source values, observing the
- * state after each step. Counts its steps and flushes them to the
- * metrics registry (circuit.transient.steps plus the active path's
- * solve counter) on destruction or flushMetrics().
+ * MNA unknowns after each step. Counts its steps and flushes them to
+ * the metrics registry (circuit.transient.steps and
+ * circuit.transient.state_updates) on destruction or flushMetrics().
  */
 class TransientStepper
 {
@@ -358,7 +320,10 @@ class TransientStepper
      */
     void step(std::span<const double> currents);
 
-    /** State value by MNA index (see MnaSystem::stateIndexOf...). */
+    /**
+     * MNA unknown by index (see MnaSystem::stateIndexOf...) at the
+     * current time and input.
+     */
     double value(std::size_t state_index) const;
 
     /** Steps taken since construction. */
@@ -366,9 +331,8 @@ class TransientStepper
 
     /**
      * Flush this stepper's not-yet-reported step counts to the
-     * metrics registry (circuit.transient.steps and, depending on
-     * the engine path, circuit.transient.state_updates or
-     * circuit.transient.lu_solves). Idempotent; also runs on
+     * metrics registry (circuit.transient.steps and
+     * circuit.transient.state_updates). Idempotent; also runs on
      * destruction, so callers only need it when a consistent
      * registry snapshot is read while the stepper is still alive.
      */
@@ -377,54 +341,40 @@ class TransientStepper
   private:
     friend class TransientAnalysis;
     TransientStepper(const TransientAnalysis &engine,
-                     std::span<const double> bias_currents,
-                     std::span<const double> initial_currents);
+                     std::span<const double> bias_currents);
 
     const TransientAnalysis &engine_;
-    /// State vector: the compact state S on the fast path (x in
-    /// slots [0, n), then u_prev/1), plain length-n state on the
-    /// reference path.
-    std::vector<double> x_;
-    /// FastState double buffer, swapped with x_ each step.
-    std::vector<double> x_next_;
-    /// @{ ReferenceLu buffers: assembled source vectors and rhs.
-    std::vector<double> s_prev_;
-    std::vector<double> s_now_;
-    std::vector<double> rhs_;
-    /// @}
+    std::vector<double> sigma_; ///< State for the next step, rp_.
+    std::vector<double> cur_;   ///< State at the current time, rp_.
+    std::vector<double> next_;  ///< Step scratch, rp_.
+    std::vector<double> u_;     ///< Input at the current time.
     double time_ = 0.0;
     std::size_t steps_taken_ = 0;
     std::size_t pending_steps_ = 0;
 };
 
 /**
- * Blocked stream stepper over the precomputed state-update (see
- * TransientAnalysis::makeBlockStepper). Works on the compact
- * linear-time-invariant form of the update,
+ * Blocked stream stepper over the engine's realization (see
+ * TransientAnalysis::makeBlockStepper). For a block of k =
+ * kStreamBlock inputs U = [u_1 .. u_k] it computes
  *
- *   S_{n+1} = T S_n + B u_n,   S = [x | u_prev | 1 | zero padding],
+ *   y_j  = y0 + C·M^{j-1}·σ + Σ_{m ≤ j} H_{j-m}·u_m   (j = 1..k)
+ *   σ'   = M^k·σ + Γ·U,
  *
- * and uses the engine's once-per-(netlist, dt) tables of the x-rows
- * of T^j for j = 1..kStreamBlock and of the input images
- * G_m = T^m B, plus two small per-stepper tables: the probe rows of
- * every power stacked into one matrix W, and the per-step
- * probe/input coupling scalars. A full block of k inputs then costs
- * one W·S mat-vec (all probe outputs of the block), one T^k·S
- * mat-vec plus k short input axpys (the state), and a triangle of
- * scalar corrections — ~3x fewer flops than k single steps at the
- * production PDN's size. Partial blocks (the stream tail) fall back
- * to the engine's single step (the one TransientStepper takes), with
- * probes read straight from the state.
+ * the probe outputs of every step of the block and the state after
+ * it, as one mat-vec F·[U | σ] with F = [T W; Γ M^k] gathered once
+ * per stepper from the engine's tables: T holds the lower
+ * block-triangular probe/input couplings H, W the probe rows of
+ * C·M^{j-1}. The input columns come first, so only the last sweeps
+ * of a block wait on the previous block's state. Partial blocks (the
+ * stream tail) take the engine's single step, the one
+ * TransientStepper takes.
  *
  * Every loop has a fixed accumulation order with vector lanes
  * carrying independent rows, so results are bit-identical
- * run-to-run and across thread counts; full-block probe row k and
- * the new state are computed in the identical column order, so the
- * last emitted sample of a block always equals the state value a
- * tail step would expose. Counts steps like TransientStepper and
- * flushes them to
- * the same counters, plus circuit.transient.stream_blocks per full
- * block.
+ * run-to-run and across thread counts. Counts steps like
+ * TransientStepper and flushes them to the same counters, plus
+ * circuit.transient.stream_blocks per full block.
  */
 class TransientBlockStepper
 {
@@ -448,7 +398,7 @@ class TransientBlockStepper
      *        row); row c applies to the c-th advanced step.
      * @param count     Steps to advance, 1..kStreamBlock.
      * @param probe_out count x n_probes values, row-major: the
-     *        requested probe states after each advanced step, in
+     *        requested probe values after each advanced step, in
      *        makeBlockStepper's probe order.
      */
     void stepBlock(const double *currents, std::size_t count,
@@ -461,25 +411,22 @@ class TransientBlockStepper
     friend class TransientAnalysis;
     TransientBlockStepper(const TransientAnalysis &engine,
                           std::span<const double> bias_currents,
-                          std::span<const double> initial_currents,
                           std::span<const std::size_t> probe_indices);
 
     const TransientAnalysis &engine_;
-    std::size_t xpad_ = 0;  ///< x rows, multiple of 4 (engine's).
+    std::size_t rp_ = 0;    ///< State length (engine's, padded).
     std::size_t n_src_ = 0; ///< Current sources.
-    std::size_t q_ = 0;     ///< S width, multiple of 4.
     std::size_t np_ = 0;    ///< Probes.
-    std::size_t wrows_ = 0; ///< W rows, kStreamBlock*np_ padded to 4.
+    std::size_t rows_ = 0;  ///< F rows: kStreamBlock·np_ + rp_.
+    std::size_t cols_ = 0;  ///< F columns: kStreamBlock·n_src_ + rp_.
     std::vector<std::size_t> probes_;
-    /// W: probe rows of T^1..T^k stacked, column-major
-    /// wrows_ x q_; row (j-1)*np_+p is probe p after step j.
-    std::vector<double> w_;
-    /// Probe/input couplings (T^{j-1-m} B)[p][s], laid out in the
-    /// exact (j, m, p, s) order stepBlock consumes them.
-    std::vector<double> pg_;
-    std::vector<double> s_;      ///< Current S, length q_.
-    std::vector<double> s_next_; ///< Double buffer, length q_.
-    std::vector<double> ybuf_;   ///< Padded probe scratch, wrows_.
+    /// F = [T W; Γ M^k], column-major rows_ x cols_.
+    std::vector<double> f_;
+    std::vector<double> y0_;   ///< Probe operating points, np_.
+    /// z = [U | σ]: the block's inputs, then the current state.
+    std::vector<double> z_;
+    std::vector<double> out_;  ///< F·z, rows_.
+    std::vector<double> next_; ///< Tail-step scratch, rp_.
     double time_ = 0.0;
     std::size_t steps_taken_ = 0;
     std::size_t pending_steps_ = 0;

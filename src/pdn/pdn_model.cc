@@ -250,15 +250,40 @@ PdnStreamSink::PdnStreamSink(const circuit::TransientAnalysis &engine,
                              SampleSink *v_die_out,
                              SampleSink *i_die_out,
                              circuit::SourceWaveform i_pulse)
-    : engine_(&engine), dt_(dt), mean_load_(mean_load),
-      iv_die_(iv_die), ii_die_(ii_die), v_die_out_(v_die_out),
-      i_die_out_(i_die_out), i_pulse_(std::move(i_pulse)),
-      n_src_(engine.mna().currentSourceNames().size())
+    : block_(makeBlock(engine, mean_load,
+                       v_die_out ? &iv_die : nullptr,
+                       i_die_out ? &ii_die : nullptr)),
+      dt_(dt), v_die_out_(v_die_out), i_die_out_(i_die_out),
+      i_pulse_(std::move(i_pulse)),
+      n_src_(engine.mna().currentSourceNames().size()),
+      n_probe_((v_die_out ? 1 : 0) + (i_die_out ? 1 : 0))
 {
-    requireSim(n_src_ == 2 || n_src_ == 3,
-               "PDN stream sink expects the load/SCL[/pulse] sources");
     if (n_src_ == 3 && !i_pulse_)
         i_pulse_ = [](double) { return 0.0; };
+}
+
+circuit::TransientBlockStepper
+PdnStreamSink::makeBlock(const circuit::TransientAnalysis &engine,
+                         double mean_load, const std::size_t *iv_die,
+                         const std::size_t *ii_die)
+{
+    const std::size_t n_src = engine.mna().currentSourceNames().size();
+    requireSim(n_src == 2 || n_src == 3,
+               "PDN stream sink expects the load/SCL[/pulse] sources");
+    // Matches simulate(): the circuit starts at the DC point under
+    // the mean load. Only the consumed unknowns are probed: each
+    // output row of the block mat-vec is summed on its own, so the
+    // probe set never changes a row's bits, and the block partition
+    // (full blocks from step 1, remainder at finish) is the one
+    // run() executes — replay stays bit-exact.
+    std::array<double, 3> bias{};
+    bias[0] = mean_load;
+    std::vector<std::size_t> probes;
+    for (const std::size_t *p : {iv_die, ii_die})
+        if (p)
+            probes.push_back(*p);
+    return engine.makeBlockStepper(
+        std::span<const double>(bias.data(), n_src), probes);
 }
 
 void
@@ -276,12 +301,13 @@ PdnStreamSink::drainBlock()
 {
     if (buffered_ == 0)
         return;
-    block_->stepBlock(in_buf_.data(), buffered_, probe_buf_.data());
+    block_.stepBlock(in_buf_.data(), buffered_, probe_buf_.data());
     for (std::size_t r = 0; r < buffered_; ++r) {
+        const double *row = probe_buf_.data() + n_probe_ * r;
         if (v_die_out_)
-            v_die_out_->push(probe_buf_[2 * r]);
+            v_die_out_->push(row[0]);
         if (i_die_out_)
-            i_die_out_->push(probe_buf_[2 * r + 1]);
+            i_die_out_->push(row[n_probe_ - 1]);
         ++emitted_;
     }
     buffered_ = 0;
@@ -290,32 +316,13 @@ PdnStreamSink::drainBlock()
 void
 PdnStreamSink::push(double i_load)
 {
-    if (!block_) {
-        // Matches simulate(): the DC point is biased at the mean load
-        // while the trapezoidal source history starts from the t = 0
-        // sample — exactly the steppers' (bias, initial) convention.
-        // run() seeds that history from the waveforms at t = 0, so
-        // the pulse column starts at i_pulse(0). Probe both states
-        // unconditionally: per-row mat-vec sums are
-        // element-independent, so the extra row never changes the
-        // requested one, and the block partition (full blocks from
-        // step 1, remainder at finish) is the one run() executes —
-        // replay stays bit-exact.
-        std::array<double, 3> bias{};
-        std::array<double, 3> src{};
-        bias[0] = mean_load_;
-        fillSourceRow(src.data(), i_load, 0);
-        const std::array<std::size_t, 2> probes = {iv_die_, ii_die_};
-        block_.emplace(engine_->makeBlockStepper(
-            std::span<const double>(bias.data(), n_src_),
-            std::span<const double>(src.data(), n_src_), probes));
-    } else {
+    if (next_step_ > 0) {
         fillSourceRow(&in_buf_[n_src_ * buffered_], i_load,
                       next_step_);
-        ++next_step_;
         if (++buffered_ == circuit::kStreamBlock)
             drainBlock();
     }
+    ++next_step_;
     last_ = i_load;
 }
 
@@ -327,15 +334,14 @@ PdnStreamSink::finish()
         // last sample, so the final step re-uses it; the pulse column
         // is a true waveform with no clamp, evaluated at the final
         // step time exactly as run() would.
-        if (block_) {
+        if (next_step_ > 0) {
             // drainBlock keeps buffered_ < kStreamBlock, so the
             // clamped step always fits the pending tail.
             fillSourceRow(&in_buf_[n_src_ * buffered_], last_,
                           next_step_);
-            ++next_step_;
             ++buffered_;
             drainBlock();
-            block_->flushMetrics();
+            block_.flushMetrics();
         }
         metrics::Registry::instance().add("pdn.stream.samples",
                                           emitted_);

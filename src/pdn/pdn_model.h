@@ -116,12 +116,13 @@ struct PdnSimResult
  * downstream sinks as they are computed, holding only the stepper
  * state (O(1) in run duration).
  *
- * Replays simulate() bit-exactly: the stepper is constructed lazily on
- * the first pushed sample, which becomes the t = 0 initial currents of
- * the transient stepper (simulate's step loop starts at t = dt, where
- * the batch waveform lookup already returns sample 1), each later
- * sample advances one step, and finish() takes the final step the
- * batch waveform clamp produces from the last sample.
+ * Replays simulate() bit-exactly: the first pushed sample is the
+ * t = 0 sample, which simulate() does not step either (its step loop
+ * starts at t = dt, where the batch waveform lookup already returns
+ * sample 1, and the circuit's t = 0 history is the DC point under the
+ * mean load), each later sample advances one step, and finish()
+ * takes the final step the batch waveform clamp produces from the
+ * last sample.
  *
  * The sink batches samples into a TransientBlockStepper and drains
  * whole kStreamBlock blocks — the identical block partition (full
@@ -148,6 +149,15 @@ class PdnStreamSink final : public SampleSink
                   SampleSink *i_die_out,
                   circuit::SourceWaveform i_pulse);
 
+    /**
+     * The block stepper over `engine`, biased at the mean load,
+     * probing the die voltage and package-die current unknowns that
+     * are given (null: not consumed).
+     */
+    static circuit::TransientBlockStepper
+    makeBlock(const circuit::TransientAnalysis &engine, double mean_load,
+              const std::size_t *iv_die, const std::size_t *ii_die);
+
     void drainBlock();
 
     /**
@@ -160,15 +170,10 @@ class PdnStreamSink final : public SampleSink
     void fillSourceRow(double *row, double i_load, std::size_t step)
         const;
 
-    /// Engine outlives the sink (owned by the PdnModel's cache); the
-    /// stepper is created on the first push so that sample can seed
-    /// the trapezoidal source history.
-    const circuit::TransientAnalysis *engine_;
-    std::optional<circuit::TransientBlockStepper> block_;
+    /// Steps the engine, which outlives the sink (owned by the
+    /// PdnModel's cache).
+    circuit::TransientBlockStepper block_;
     double dt_;
-    double mean_load_;
-    std::size_t iv_die_;
-    std::size_t ii_die_;
     SampleSink *v_die_out_;
     SampleSink *i_die_out_;
     /// Injected-pulse waveform for the third source column; only
@@ -177,11 +182,15 @@ class PdnStreamSink final : public SampleSink
     /// Current sources per step row: 2 ({i_load, i_scl}) without the
     /// pulse source, 3 ({i_load, i_scl, i_pulse}) with it.
     std::size_t n_src_ = 2;
-    /// 1-based index of the next transient step, mirroring run()'s
-    /// step counter (the first push seeds t = 0 history, not a step).
-    std::size_t next_step_ = 1;
-    /// Block buffers: one source row (stride n_src_) and one
-    /// {v_die, i_die} probe row per step of the pending block.
+    /// Index of the transient step the next pushed sample drives,
+    /// mirroring run()'s step counter (the first push is the t = 0
+    /// sample, not a step).
+    std::size_t next_step_ = 0;
+    /// Probed unknowns per step: v_die and/or i_die, whichever has a
+    /// downstream sink, in that order.
+    std::size_t n_probe_ = 2;
+    /// Block buffers: one source row (stride n_src_) and one probe
+    /// row (stride n_probe_) per step of the pending block.
     std::array<double, circuit::kStreamBlock * 3> in_buf_{};
     std::array<double, circuit::kStreamBlock * 2> probe_buf_{};
     std::size_t buffered_ = 0;

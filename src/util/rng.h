@@ -43,13 +43,18 @@ namespace emstress {
  * three gaussians per displayed bin; 2 — counter-keyed analyzer
  * noise, drawn for in-band bins only; 3 — streamed band powers come
  * from the analyzer's own FFT instead of a Goertzel bank, and every
- * spectrum runs the table-twiddle real FFT. The Rng stream draws moved
- * from std distributions to this file in version 2 without changing
- * a single realization (they reproduce the algorithms libstdc++
- * used), so they need no bump of their own; nor did the V_MIN jitter
- * key's move from std::hash to stringHash, which reproduces it.
+ * spectrum runs the table-twiddle real FFT; 4 — the PDN transient
+ * steps its dynamic state (capacitor voltages and independent
+ * inductor currents) instead of the MNA unknowns, which moves every
+ * noiseless reading at rounding level on the Juno presets and for
+ * real on the Athlon, whose MNA-form update diverged. The Rng stream
+ * draws moved from std distributions to this file in version 2
+ * without changing a single realization (they reproduce the
+ * algorithms libstdc++ used), so they need no bump of their own; nor
+ * did the V_MIN jitter key's move from std::hash to stringHash, which
+ * reproduces it.
  */
-inline constexpr int kNoiseModelVersion = 3;
+inline constexpr int kNoiseModelVersion = 4;
 
 /**
  * splitmix64 finalizer: scrambles a 64-bit value into a well-mixed

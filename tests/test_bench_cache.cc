@@ -236,6 +236,17 @@ TEST_F(BenchCacheTest, PreviousNoiseModelEntriesNeverServe)
     const std::uint64_t v2_fingerprint = 0x354b1d9984d4022dull;
     EXPECT_EQ(bench::fnv1a64(v1_desc + "|noise:v2"), v2_fingerprint);
     EXPECT_NE(bench::budgetFingerprint(cfg), v2_fingerprint);
+
+    // Noise model 3 stepped the PDN transient on the MNA unknowns;
+    // its entries never serve either.
+    const std::uint64_t v3_fingerprint = 0x354b1c9984d4007aull;
+    EXPECT_EQ(bench::fnv1a64(v1_desc + "|noise:v3"), v3_fingerprint);
+    EXPECT_NE(bench::budgetFingerprint(cfg), v3_fingerprint);
+    std::ofstream(dir_ / "v.quick.meta", std::ios::trunc)
+        << "fingerprint " << std::hex << v3_fingerprint << "\n";
+    EXPECT_TRUE(bench::cachedVirusServes(dir_, "v.quick", v3_fingerprint));
+    EXPECT_FALSE(bench::cachedVirusServes(
+        dir_, "v.quick", bench::budgetFingerprint(cfg)));
 }
 
 TEST_F(BenchCacheTest, PreFingerprintEntriesNeverServe)

@@ -181,6 +181,20 @@ TEST(ResonanceExplorerTest, SweepFindsA72Resonance)
     EXPECT_DOUBLE_EQ(a72.frequency(), a72.config().f_max_hz);
 }
 
+TEST(ResonanceExplorerTest, SweepFindsAthlonResonance)
+{
+    // Fig. 16: the EM loop-frequency sweep on the Athlon peaks at its
+    // 78 MHz 1st-order resonance (its transient used to diverge and
+    // read -200 dBm at every clock).
+    platform::Platform amd(platform::athlonConfig(), 17);
+    ResonanceExplorer explorer(amd);
+    const auto points = explorer.sweep(2e-6, 2);
+    for (const auto &p : points)
+        EXPECT_GT(p.em_dbm, -150.0) << p.cpu_freq_hz;
+    EXPECT_NEAR(ResonanceExplorer::estimateResonanceHz(points),
+                mega(78.0), mega(4.5));
+}
+
 TEST(ResonanceExplorerTest, SweepCoversEveryDvfsPoint)
 {
     // Regression: float-accumulation stepping could drop (or

@@ -138,8 +138,8 @@ TEST(LintR1, EnvConfigTagCoversGetenvButNotClocks)
 TEST(LintR1, ParityToleranceTagCoversGetenvButNotClocksOrRandom)
 {
     // The sanction for solver-path switches that are not bit-neutral
-    // (EMSTRESS_TRANSIENT_PATH selects between implementations
-    // agreeing only to kStateUpdateParityTol).
+    // (a knob selecting between implementations that agree only to a
+    // documented tolerance).
     const auto env = lintCc("const char *e = std::getenv(\"P\");"
                             " // lint: parity-tolerance\n");
     EXPECT_EQ(countRule(env, "R1"), 0u);

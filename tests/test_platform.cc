@@ -6,10 +6,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <functional>
+#include <utility>
+#include <vector>
+
 #include "dsp/spectrum.h"
 #include "pdn/resonance.h"
 #include "platform/platform.h"
 #include "util/error.h"
+#include "util/sample_sink.h"
 #include "util/stats.h"
 #include "util/units.h"
 
@@ -80,6 +86,62 @@ TEST(PlatformConfigs, PdnResonancesMatchPaperAnchors)
     Platform amd(athlonConfig(), 1);
     EXPECT_NEAR(pdn::firstOrderResonanceHz(amd.pdnModel()),
                 mega(78.0), mega(4.5));
+}
+
+/** Sink that records the largest |sample| and any non-finite one. */
+class PeakSink final : public SampleSink
+{
+  public:
+    void
+    push(double v) override
+    {
+        finite = finite && std::isfinite(v);
+        peak = std::max(peak, std::abs(v));
+        ++count;
+    }
+    double peak = 0.0;
+    bool finite = true;
+    std::size_t count = 0;
+};
+
+/**
+ * The Athlon's PDN transient under the three loads its MNA-form
+ * update diverged on within 20k steps (|v_die| reaching ~1e296 V):
+ * over 1e6 kPdnDt steps the die voltage must stay finite and within
+ * a few hundred mV of the 1.4 V rail.
+ */
+TEST(AthlonPdn, DieVoltageStaysBoundedOverAMillionSteps)
+{
+    const Platform amd(athlonConfig(), 1);
+    const pdn::PdnModel &pdn = amd.pdnModel();
+    const std::size_t steps = 1'000'000;
+    const double period = 1.0 / mega(78.0);
+    const std::vector<std::pair<const char *,
+                                std::function<double(std::size_t)>>>
+        loads = {
+            {"constant 30 A", [](std::size_t) { return 30.0; }},
+            {"10 A step",
+             [](std::size_t i) { return i >= 1000 ? 10.0 : 0.0; }},
+            {"78 MHz square",
+             [period](std::size_t i) {
+                 const double t = kPdnDt * static_cast<double>(i);
+                 return std::fmod(t, period) < 0.5 * period ? 10.0 : 0.0;
+             }},
+        };
+    for (const auto &[name, load] : loads) {
+        MeanSink mean;
+        for (std::size_t i = 0; i <= steps; ++i)
+            mean.push(load(i));
+        PeakSink v_die;
+        pdn::PdnStreamSink sim =
+            pdn.streamSim(kPdnDt, mean.mean(), &v_die, nullptr);
+        for (std::size_t i = 0; i <= steps; ++i)
+            sim.push(load(i));
+        sim.finish();
+        EXPECT_EQ(v_die.count, steps + 1) << name;
+        EXPECT_TRUE(v_die.finite) << name;
+        EXPECT_LT(v_die.peak, 1.4 + 0.3) << name;
+    }
 }
 
 TEST(Platform, FrequencySnapsToStepGrid)

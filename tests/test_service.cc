@@ -236,6 +236,13 @@ TEST(JobModel, NoiseModelUpgradeInvalidatesStoredArtifacts)
     EXPECT_NE(jobFingerprint(spec), v2_fingerprint);
     store.insert(v2_fingerprint, std::make_shared<const JobResult>());
     EXPECT_EQ(store.fetch(jobFingerprint(spec)), nullptr);
+
+    // Noise model 3's address (the PDN transient stepped on the MNA
+    // unknowns): those artifacts miss too.
+    const std::uint64_t v3_fingerprint = 0x4bf76e4b874273f5ull;
+    EXPECT_NE(jobFingerprint(spec), v3_fingerprint);
+    store.insert(v3_fingerprint, std::make_shared<const JobResult>());
+    EXPECT_EQ(store.fetch(jobFingerprint(spec)), nullptr);
 }
 
 TEST(JobModel, CrossModeSpecsNeverShareAnArtifact)

@@ -179,7 +179,7 @@ matrixProfile(const platform::PlatformConfig &cfg)
 
 constexpr double kMatrixDurations[] = {4e-6, 2e-6, 1e-6};
 
-/** Bit patterns equal: the Athlon's diverging transient reaches NaN. */
+/** Bit patterns equal, so a NaN or signed zero compares exactly too. */
 void
 expectBitsEqual(double got, double want)
 {

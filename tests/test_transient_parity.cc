@@ -1,19 +1,19 @@
 /**
  * @file
- * Fast-path vs reference-path parity for the transient engine
- * (DESIGN.md §12): the precomputed state-update (FastState) and the
- * per-step LU substitution (ReferenceLu) are algebraically identical
- * but reassociate floating point, so they must agree to
- * kStateUpdateParityTol — never assumed, always measured, over long
- * runs on randomized RLC ladders, the PDN with its optional damped
- * bulk branch, and a fig15-style two-domain coupled netlist. Both
- * paths must additionally satisfy the algebraic-row constraints
- * (G x = s on storage-free rows) to solver precision at every
- * checkpoint.
+ * Transient engine against its long-double oracle (DESIGN.md §12):
+ * the state-space fast path — energy-scaled reduced state, matrix
+ * powers, fused block mat-vecs, all in double — must agree with
+ * TransientOracle's per-step companion-model replay to
+ * kOracleParityTol over long runs on randomized RLC ladders, the PDN
+ * with its optional damped bulk branch and pulse source, and a
+ * fig15-style two-domain coupled netlist. The fast path must also
+ * satisfy the algebraic-row constraints (G x = s on storage-free
+ * rows) to solver precision at every checkpoint.
  *
- * Also pins the stepper construction convention (a stepper replays
- * run() bit-exactly with no priming call) and the truthful
- * lu_solves / state_updates counter split.
+ * Also pins the construction-time stability guard on every preset
+ * and power-gating state, the stepper construction convention (a
+ * stepper and the oracle replay run() with no priming call), bit-exact
+ * block replay and the step/block counters.
  */
 
 #include <gtest/gtest.h>
@@ -27,6 +27,8 @@
 #include "circuit/netlist.h"
 #include "circuit/transient.h"
 #include "pdn/pdn_model.h"
+#include "platform/platform.h"
+#include "transient_oracle.h"
 #include "util/metrics.h"
 #include "util/rng.h"
 
@@ -121,19 +123,17 @@ twoDomainNetlist()
 }
 
 /**
- * Step FastState and ReferenceLu engines for the same netlist in
- * lockstep, asserting the parity tolerance over the whole run and the
- * algebraic-row residual (|G x - s_now| to solver precision) for both
- * paths at periodic checkpoints.
+ * Step the engine and the oracle for the same netlist in lockstep —
+ * the engine both per step and in full blocks over every MNA unknown
+ * — asserting oracle parity over the whole run and the algebraic-row
+ * residual (|G x - s_now| to solver precision) at periodic
+ * checkpoints. `steps` is a multiple of kStreamBlock.
  */
 void
 expectParity(const Netlist &nl, double dt, std::size_t steps)
 {
-    const TransientAnalysis fast(nl, dt, TransientMethod::FastState);
-    const TransientAnalysis ref(nl, dt, TransientMethod::ReferenceLu);
-    ASSERT_EQ(fast.method(), TransientMethod::FastState);
-    ASSERT_EQ(ref.method(), TransientMethod::ReferenceLu);
-    const MnaSystem &mna = ref.mna();
+    const TransientAnalysis tr(nl, dt);
+    const MnaSystem &mna = tr.mna();
     const std::size_t n = mna.size();
     const std::size_t n_src = mna.currentSourceNames().size();
 
@@ -149,65 +149,67 @@ expectParity(const Netlist &nl, double dt, std::size_t steps)
     std::vector<double> currents(n_src);
     for (std::size_t j = 0; j < n_src; ++j)
         currents[j] = sourceValue(j, 0);
-    TransientStepper sf = fast.makeStepper(currents, currents);
-    TransientStepper sr = ref.makeStepper(currents, currents);
+    TransientStepper ps = tr.makeStepper(currents);
+    TransientOracle oracle(nl, dt, currents);
+    std::vector<std::size_t> all(n);
+    for (std::size_t i = 0; i < n; ++i)
+        all[i] = i;
+    TransientBlockStepper bs = tr.makeBlockStepper(currents, all);
+    std::vector<double> in(kStreamBlock * n_src);
+    std::vector<double> out(kStreamBlock * n);
+    std::vector<long double> want_block(kStreamBlock * n);
 
-    double max_abs_diff = 0.0;
-    double max_abs_x = 0.0;
-    double short_diff = 0.0;
-    double short_x = 0.0;
+    double step_diff = 0.0;
+    double block_diff = 0.0;
+    double max_abs = 0.0;
     for (std::size_t step = 1; step <= steps; ++step) {
+        const std::size_t c = (step - 1) % kStreamBlock;
         for (std::size_t j = 0; j < n_src; ++j)
-            currents[j] = sourceValue(j, step);
-        sf.step(currents);
-        sr.step(currents);
+            in[c * n_src + j] = currents[j] = sourceValue(j, step);
+        ps.step(currents);
+        oracle.step(currents);
+        if (c + 1 == kStreamBlock)
+            bs.stepBlock(in.data(), kStreamBlock, out.data());
         for (std::size_t i = 0; i < n; ++i) {
-            max_abs_diff = std::max(
-                max_abs_diff, std::abs(sf.value(i) - sr.value(i)));
-            max_abs_x = std::max(max_abs_x, std::abs(sr.value(i)));
+            const long double want = oracle.value(i);
+            want_block[c * n + i] = want;
+            step_diff = std::max(
+                step_diff,
+                static_cast<double>(std::abs(ps.value(i) - want)));
+            max_abs = std::max(max_abs,
+                               static_cast<double>(std::abs(want)));
         }
-        if (step == kParityShortSteps) {
-            short_diff = max_abs_diff;
-            short_x = max_abs_x;
-        }
+        if (c + 1 == kStreamBlock)
+            for (std::size_t r = 0; r < kStreamBlock * n; ++r)
+                block_diff = std::max(
+                    block_diff, static_cast<double>(std::abs(
+                                    out[r] - want_block[r])));
         if (step % 5000 == 0 || step == steps) {
-            // Constraint rows hold at t_now on BOTH paths: the fast
-            // path folds them into its precomputed update, so this
-            // check proves the folding, not just the LU solve.
+            // Constraint rows hold at t_now: the outputs are read off
+            // the state, so this checks the realization itself.
             const std::vector<double> s_now =
                 mna.sourceVector(currents);
             for (std::size_t r = 0; r < n; ++r) {
                 if (!algebraic[r])
                     continue;
-                double res_f = -s_now[r];
-                double res_r = -s_now[r];
+                double res = -s_now[r];
                 double scale = std::abs(s_now[r]);
-                for (std::size_t c = 0; c < n; ++c) {
-                    res_f += mna.g()(r, c) * sf.value(c);
-                    res_r += mna.g()(r, c) * sr.value(c);
-                    scale += std::abs(mna.g()(r, c) * sr.value(c));
+                for (std::size_t col = 0; col < n; ++col) {
+                    res += mna.g()(r, col) * ps.value(col);
+                    scale += std::abs(mna.g()(r, col) * ps.value(col));
                 }
-                const double tol = 1e-9 * std::max(scale, 1.0);
-                EXPECT_LT(std::abs(res_f), tol)
-                    << "fast path, row " << r << ", step " << step;
-                EXPECT_LT(std::abs(res_r), tol)
-                    << "reference path, row " << r << ", step "
-                    << step;
+                EXPECT_LT(std::abs(res), 1e-9 * std::max(scale, 1.0))
+                    << "row " << r << ", step " << step;
             }
         }
     }
-    ASSERT_GT(max_abs_x, 0.0);
-    ASSERT_GT(short_x, 0.0);
-    // The documented two-horizon contract from transient.h: tight
-    // agreement while the paths share (nearly) the same state, and a
-    // bounded envelope once weakly damped modes have integrated the
-    // per-step rounding difference.
-    EXPECT_LT(short_diff, kStateUpdateParityTolShort * short_x)
-        << "short-horizon |x_fast - x_lu| = " << short_diff
-        << " over max |x| = " << short_x;
-    EXPECT_LT(max_abs_diff, kStateUpdateParityTol * max_abs_x)
-        << "max |x_fast - x_lu| = " << max_abs_diff
-        << " over max |x| = " << max_abs_x;
+    ASSERT_GT(max_abs, 0.0);
+    EXPECT_LT(step_diff, kOracleParityTol * max_abs)
+        << "per-step max |x - x_oracle| = " << step_diff
+        << " over max |x| = " << max_abs;
+    EXPECT_LT(block_diff, kOracleParityTol * max_abs)
+        << "blocked max |x - x_oracle| = " << block_diff
+        << " over max |x| = " << max_abs;
 }
 
 TEST(TransientParity, RandomizedRlcLadders)
@@ -225,10 +227,6 @@ TEST(TransientParity, PdnLadderWithBulkBranch)
     pdn::PdnParameters params;
     params.c_pkg_bulk = 22e-6; // enable the damped bulk branch
     const pdn::PdnModel model(params);
-    // Production-scale dt (a ~1 GHz core clock period): the parity
-    // contract holds where BOTH paths are numerically valid. At
-    // extreme stiffness (c_pcb/dt ~ 1e7) the reference path itself
-    // slowly diverges — see FastPathStaysBoundedAtStiffDt below.
     expectParity(model.netlist(), 1e-9, 100000);
 }
 
@@ -240,18 +238,25 @@ TEST(TransientParity, TwoDomainCoupledNetlist)
 TEST(TransientParity, PdnWithPulseSourceThirdColumn)
 {
     // The EMFI pulse source adds a third current-source column to
-    // the PDN netlist; the fast path's precomputed update must keep
-    // parity with the reference LU path with it present and driven.
+    // the PDN netlist; the engine must keep oracle parity with it
+    // present and driven.
     pdn::PdnModel model{pdn::PdnParameters{}};
     model.setPulseSource(true);
     ASSERT_TRUE(model.pulseSource());
     expectParity(model.netlist(), 1e-9, 100000);
 }
 
+TEST(TransientParity, AthlonPdnAtThePdnTimestep)
+{
+    // The preset whose MNA-form block update used to diverge.
+    const pdn::PdnModel model(platform::athlonConfig().pdn);
+    expectParity(model.netlist(), platform::kPdnDt, 100000);
+}
+
 TEST(TransientParity, ZeroPulseColumnIsBoundedAgainstTwoSources)
 {
     // An all-zero third source column is algebraically a no-op, but
-    // it regroups the fast path's column sweep, so the result is only
+    // it widens the fused block mat-vec, so the result is only
     // tolerance-close to the two-source topology — which is exactly
     // why Platform::armPulse elides a null pulse instead of wiring a
     // zero waveform (the bit-identity tests live in test_emfi.cc).
@@ -276,27 +281,23 @@ TEST(TransientParity, ZeroPulseColumnIsBoundedAgainstTwoSources)
         max_abs = std::max(max_abs, std::abs(a.v_die[i]));
     }
     ASSERT_GT(max_abs, 0.0);
-    EXPECT_LT(max_diff, kStateUpdateParityTol * max_abs)
+    EXPECT_LT(max_diff, kOracleParityTol * max_abs)
         << "max |v_2src - v_3src| = " << max_diff;
 }
 
 TEST(TransientParity, FastPathStaysBoundedAtStiffDt)
 {
-    // Robustness pin for a measured asymmetry (DESIGN.md §12): at
-    // dt = 1e-10 the PDN's stiffness ratio (c_pcb/dt = 1e7 against
-    // mOhm conductances) makes the *reference* path's per-step
-    // substitution slowly unstable — free-decay rounding noise grows
-    // ~e^(1e-4 per step), reaching 1e6 by 2e5 steps — while the
-    // precomputed state-update contracts it. This test pins the fast
-    // path's boundedness: a 1 A load step released to free decay must
-    // settle at the DC point (~1 V states), never grow.
+    // At dt = 1e-10 the PDN's stiffness ratio (c_pcb/dt = 1e7
+    // against mOhm conductances) is the regime where per-step
+    // substitution on the MNA form slowly diverged. A 1 A load step
+    // released to free decay must settle at the DC point (~1 V
+    // values), never grow.
     const pdn::PdnModel model(pdn::PdnParameters{});
-    const TransientAnalysis fast(model.netlist(), 1e-10,
-                                 TransientMethod::FastState);
+    const TransientAnalysis tr(model.netlist(), 1e-10);
     const std::array<double, 2> on = {1.0, 0.0};
     const std::array<double, 2> off = {0.0, 0.0};
-    TransientStepper s = fast.makeStepper(on, on);
-    const std::size_t n = fast.mna().size();
+    TransientStepper s = tr.makeStepper(on);
+    const std::size_t n = tr.mna().size();
     double max_abs = 0.0;
     for (std::size_t step = 1; step <= 200000; ++step) {
         s.step(off);
@@ -309,11 +310,11 @@ TEST(TransientParity, FastPathStaysBoundedAtStiffDt)
 
 TEST(TransientParity, FastPathIsBitIdenticalRunToRun)
 {
-    // Whatever the active path, repeating a run must be bit-exact:
-    // the step arithmetic is sequential with a fixed operation order.
+    // Repeating a run must be bit-exact: the step arithmetic is
+    // sequential with a fixed operation order.
     Rng rng(7);
     const Netlist nl = randomLadder(rng, 3);
-    const TransientAnalysis tr(nl, 1e-10, TransientMethod::FastState);
+    const TransientAnalysis tr(nl, 1e-10);
     const std::vector<SourceWaveform> waves = {
         [](double t) { return sourceValue(0, static_cast<std::size_t>(
                                                  t * 1e10 + 0.5)); }};
@@ -325,24 +326,92 @@ TEST(TransientParity, FastPathIsBitIdenticalRunToRun)
         ASSERT_EQ(a.trace("v")[i], b.trace("v")[i]) << i;
 }
 
+TEST(TransientStability, EveryPresetAndGatingStatePassesTheGuard)
+{
+    // The guard squares each block update out to
+    // kStableHorizonSteps; every shipped PDN, at every powered-core
+    // count and with the EMFI pulse source on or off, must pass it.
+    for (const auto &cfg :
+         {platform::junoA72Config(), platform::junoA53Config(),
+          platform::athlonConfig()}) {
+        pdn::PdnModel model(cfg.pdn);
+        for (std::size_t cores = 1; cores <= cfg.pdn.n_cores;
+             ++cores) {
+            model.setPoweredCores(cores);
+            for (const bool pulse : {false, true}) {
+                model.setPulseSource(pulse);
+                EXPECT_NO_THROW(
+                    (void)TransientAnalysis(model.netlist(),
+                                            platform::kPdnDt))
+                    << cfg.name << ", " << cores << " cores, pulse "
+                    << pulse;
+            }
+        }
+    }
+}
+
+TEST(TransientStability, RejectsAnActiveNetlist)
+{
+    // A parallel LC tank across a negative resistor gains energy
+    // every cycle: the guard must refuse to build the engine rather
+    // than let a stream overflow.
+    Netlist nl;
+    const NodeId a = nl.newNode();
+    nl.addCapacitor("c", a, kGround, 1e-9);
+    nl.addInductor("l", a, kGround, 1e-9);
+    nl.addResistor("r", a, kGround, 10.0);
+    nl.addCurrentSource("i", a, kGround, 0.0);
+    EXPECT_NO_THROW((void)TransientAnalysis(nl, 1e-11));
+    nl.setValue("r", -10.0);
+    EXPECT_THROW((void)TransientAnalysis(nl, 1e-11), ConfigError);
+}
+
+TEST(TransientStability, ReducesInductorCutsetsAndFollowsDrivenOnes)
+{
+    // The PDN's series decap branches put an inductor cutset around
+    // the PCB and package nodes, so its 3 capacitors and 5 inductors
+    // carry 6 independent states.
+    const pdn::PdnModel model(pdn::PdnParameters{});
+    EXPECT_EQ(TransientAnalysis(model.netlist(), platform::kPdnDt)
+                  .stateCount(),
+              6u);
+    // A current source feeding a node joined to the rest only by
+    // two inductors fixes their sum, i_l1 + i_l2 = u: one
+    // combination is a free state, the other follows the input, and
+    // the voltages across both carry L·du/dt. The engine carries the
+    // trapezoidal derivative estimate of the input for them, exactly
+    // as the oracle's companion model does.
+    Netlist nl;
+    const NodeId a = nl.newNode();
+    const NodeId b = nl.newNode();
+    const NodeId c = nl.newNode();
+    nl.addCurrentSource("i", kGround, a, 0.0);
+    nl.addInductor("l1", a, b, 1e-9);
+    nl.addInductor("l2", a, c, 3e-9);
+    nl.addResistor("r1", b, kGround, 0.5);
+    nl.addCapacitor("c2", c, kGround, 1e-9);
+    nl.addResistor("r2", c, kGround, 1.0);
+    // Two free states and one derivative estimate.
+    EXPECT_EQ(TransientAnalysis(nl, 1e-11).stateCount(), 3u);
+    expectParity(nl, 1e-11, 20000);
+}
+
 /**
- * Satellite regression: a stepper constructed as
- * makeStepper(bias, {waveforms at t = 0}) replays run() with NO
- * priming call (primeSources no longer exists). On the reference
- * path the replay is bit-exact; on the fast path run() executes in
- * kStreamBlock folds, so the per-step stepper agrees to
- * kBlockedStreamParityTol (relative to the waveform scale) —
- * bit-exact fast-path replay is pinned separately via the block
- * stepper below. Pinned for both paths and for both the biased and
- * the empty-bias conventions.
+ * A stepper constructed as makeStepper(bias) replays run() with NO
+ * priming call: run() executes in kStreamBlock folds, so the
+ * per-step stepper agrees to kBlockedStreamParityTol (relative to the
+ * waveform scale) — bit-exact replay is pinned separately via the
+ * block stepper below. The oracle, the reference replay, agrees with
+ * run() to kOracleParityTol under the same convention. Pinned for
+ * both the biased and the empty-bias conventions.
  */
 void
-expectStepperReplaysRun(TransientMethod method, bool with_bias)
+expectStepperReplaysRun(bool reference, bool with_bias)
 {
     Rng rng(42);
     const Netlist nl = randomLadder(rng, 3);
     const double dt = 1e-10;
-    const TransientAnalysis tr(nl, dt, method);
+    const TransientAnalysis tr(nl, dt);
     const std::size_t steps = 2000;
     const std::vector<SourceWaveform> waves = {[dt](double t) {
         return sourceValue(0,
@@ -360,60 +429,67 @@ expectStepperReplaysRun(TransientMethod method, bool with_bias)
         scale = std::max(scale, std::abs(vt[i]));
     ASSERT_GT(scale, 0.0);
 
+    // Without a bias, run() starts settled at the t = 0 values.
     const std::array<double, 1> w0 = {sourceValue(0, 0)};
-    TransientStepper stepper = with_bias ? tr.makeStepper(bias, w0)
-                                         : tr.makeStepper({}, w0);
-    const std::size_t idx =
-        tr.mna().stateIndexOfNode(probe_node);
+    const std::span<const double> start =
+        with_bias ? std::span<const double>(bias) : w0;
+    TransientStepper stepper = tr.makeStepper(start);
+    TransientOracle oracle(nl, dt, start);
+    const std::size_t idx = tr.mna().stateIndexOfNode(probe_node);
     std::array<double, 1> currents{};
     for (std::size_t step = 1; step <= steps; ++step) {
         currents[0] = sourceValue(0, step);
-        stepper.step(currents);
-        if (method == TransientMethod::ReferenceLu)
-            ASSERT_EQ(stepper.value(idx), vt[step - 1])
+        if (reference) {
+            oracle.step(currents);
+            ASSERT_NEAR(static_cast<double>(oracle.value(idx)),
+                        vt[step - 1], kOracleParityTol * scale)
                 << "step " << step;
-        else
+        } else {
+            stepper.step(currents);
             ASSERT_NEAR(stepper.value(idx), vt[step - 1],
                         kBlockedStreamParityTol * scale)
                 << "step " << step;
+        }
     }
-    EXPECT_EQ(stepper.stepsTaken(), steps);
+    if (!reference) {
+        EXPECT_EQ(stepper.stepsTaken(), steps);
+    }
 }
 
 TEST(TransientStepperReplay, FastPathWithBias)
 {
-    expectStepperReplaysRun(TransientMethod::FastState, true);
+    expectStepperReplaysRun(false, true);
 }
 
 TEST(TransientStepperReplay, FastPathEmptyBias)
 {
-    expectStepperReplaysRun(TransientMethod::FastState, false);
+    expectStepperReplaysRun(false, false);
 }
 
 TEST(TransientStepperReplay, ReferencePathWithBias)
 {
-    expectStepperReplaysRun(TransientMethod::ReferenceLu, true);
+    expectStepperReplaysRun(true, true);
 }
 
 TEST(TransientStepperReplay, ReferencePathEmptyBias)
 {
-    expectStepperReplaysRun(TransientMethod::ReferenceLu, false);
+    expectStepperReplaysRun(true, false);
 }
 
 /**
- * The fast-path bit-exactness pin: a TransientBlockStepper fed
- * run()'s block partition (full kStreamBlock blocks from step 1, the
- * remainder as one tail call) replays run() bit-exactly — the
- * invariant the PDN streaming sinks rely on for sample-for-sample
- * equality with batch simulation. `steps` is deliberately not a
- * multiple of kStreamBlock so the tail path is exercised too.
+ * The bit-exactness pin: a TransientBlockStepper fed run()'s block
+ * partition (full kStreamBlock blocks from step 1, the remainder as
+ * one tail call) replays run() bit-exactly — the invariant the PDN
+ * streaming sinks rely on for sample-for-sample equality with batch
+ * simulation. `steps` is deliberately not a multiple of kStreamBlock
+ * so the tail path is exercised too.
  */
 TEST(TransientBlockStepper, ReplaysRunBitExactly)
 {
     Rng rng(42);
     const Netlist nl = randomLadder(rng, 3);
     const double dt = 1e-10;
-    const TransientAnalysis tr(nl, dt, TransientMethod::FastState);
+    const TransientAnalysis tr(nl, dt);
     const std::size_t steps = 2003;
     const std::vector<SourceWaveform> waves = {[dt](double t) {
         return sourceValue(0,
@@ -426,11 +502,9 @@ TEST(TransientBlockStepper, ReplaysRunBitExactly)
     const auto batch = tr.run(steps, waves, probes, bias);
     const auto &vt = batch.trace("v");
 
-    const std::array<double, 1> w0 = {sourceValue(0, 0)};
     const std::array<std::size_t, 1> probe_idx = {
         tr.mna().stateIndexOfNode(probe_node)};
-    TransientBlockStepper bs =
-        tr.makeBlockStepper(bias, w0, probe_idx);
+    TransientBlockStepper bs = tr.makeBlockStepper(bias, probe_idx);
     std::array<double, kStreamBlock> in{};
     std::array<double, kStreamBlock> out{};
     std::size_t step = 1;
@@ -459,20 +533,16 @@ TEST(TransientBlockStepper, AgreesWithPerStepStepperOnMixedBlocks)
 {
     pdn::PdnParameters params;
     const pdn::PdnModel model(params);
-    const TransientAnalysis tr(model.netlist(), 1e-9,
-                               TransientMethod::FastState);
+    const TransientAnalysis tr(model.netlist(), 1e-9);
     const std::size_t n_src =
         tr.mna().currentSourceNames().size();
     ASSERT_EQ(n_src, 2u);
-    const std::array<double, 2> w0 = {sourceValue(0, 0),
-                                      sourceValue(1, 0)};
     const std::array<double, 2> bias = {0.2, 0.0};
     const std::array<std::size_t, 2> probe_idx = {
         tr.mna().stateIndexOfNode(model.dieNode()),
         tr.mna().stateIndexOfBranch("l_pkg_die")};
-    TransientBlockStepper bs =
-        tr.makeBlockStepper(bias, w0, probe_idx);
-    TransientStepper ps = tr.makeStepper(bias, w0);
+    TransientBlockStepper bs = tr.makeBlockStepper(bias, probe_idx);
+    TransientStepper ps = tr.makeStepper(bias);
 
     // Deterministic irregular partition cycling through every
     // possible tail length, full blocks interleaved.
@@ -528,24 +598,13 @@ TEST(TransientCounters, RunReportsActivePathTruthfully)
 
     auto &reg = metrics::Registry::instance();
     reg.reset();
-    const TransientAnalysis fast(nl, 1e-10,
-                                 TransientMethod::FastState);
-    (void)fast.run(500, waves, {});
-    auto snap = reg.snapshot();
+    const TransientAnalysis tr(nl, 1e-10);
+    (void)tr.run(500, waves, {});
+    const auto snap = reg.snapshot();
     EXPECT_EQ(counter(snap, "circuit.transient.steps"), 500u);
     EXPECT_EQ(counter(snap, "circuit.transient.state_updates"), 500u);
-    // The fast path reports NO lu_solves: the bug this pins was an
-    // unconditional lu_solves = steps flush.
+    // No per-step LU path exists, so nothing reports LU solves.
     EXPECT_EQ(counter(snap, "circuit.transient.lu_solves"), 0u);
-
-    reg.reset();
-    const TransientAnalysis ref(nl, 1e-10,
-                                TransientMethod::ReferenceLu);
-    (void)ref.run(500, waves, {});
-    snap = reg.snapshot();
-    EXPECT_EQ(counter(snap, "circuit.transient.steps"), 500u);
-    EXPECT_EQ(counter(snap, "circuit.transient.lu_solves"), 500u);
-    EXPECT_EQ(counter(snap, "circuit.transient.state_updates"), 0u);
     reg.reset();
 }
 
@@ -558,10 +617,9 @@ TEST(TransientCounters, StepperFlushesOwnStepsIdempotently)
 
     auto &reg = metrics::Registry::instance();
     reg.reset();
-    const TransientAnalysis fast(nl, 1e-10,
-                                 TransientMethod::FastState);
+    const TransientAnalysis tr(nl, 1e-10);
     {
-        TransientStepper s = fast.makeStepper(currents);
+        TransientStepper s = tr.makeStepper(currents);
         for (int i = 0; i < 7; ++i)
             s.step(currents);
         s.flushMetrics();
@@ -570,23 +628,10 @@ TEST(TransientCounters, StepperFlushesOwnStepsIdempotently)
             s.step(currents);
         // Destructor flushes the remaining 3.
     }
-    auto snap = reg.snapshot();
+    const auto snap = reg.snapshot();
     EXPECT_EQ(counter(snap, "circuit.transient.steps"), 10u);
     EXPECT_EQ(counter(snap, "circuit.transient.state_updates"), 10u);
     EXPECT_EQ(counter(snap, "circuit.transient.lu_solves"), 0u);
-
-    reg.reset();
-    const TransientAnalysis ref(nl, 1e-10,
-                                TransientMethod::ReferenceLu);
-    {
-        TransientStepper s = ref.makeStepper(currents);
-        for (int i = 0; i < 5; ++i)
-            s.step(currents);
-    }
-    snap = reg.snapshot();
-    EXPECT_EQ(counter(snap, "circuit.transient.steps"), 5u);
-    EXPECT_EQ(counter(snap, "circuit.transient.lu_solves"), 5u);
-    EXPECT_EQ(counter(snap, "circuit.transient.state_updates"), 0u);
     reg.reset();
 }
 
@@ -597,13 +642,11 @@ TEST(TransientCounters, BlockStepperCountsStepsAndBlocks)
     const Netlist nl = randomLadder(rng, 2);
     auto &reg = metrics::Registry::instance();
     reg.reset();
-    const TransientAnalysis fast(nl, 1e-10,
-                                 TransientMethod::FastState);
+    const TransientAnalysis tr(nl, 1e-10);
     {
         const std::array<double, 1> w0 = {0.1};
         const std::array<std::size_t, 1> probe_idx = {0};
-        TransientBlockStepper bs =
-            fast.makeBlockStepper(w0, w0, probe_idx);
+        TransientBlockStepper bs = tr.makeBlockStepper(w0, probe_idx);
         std::array<double, kStreamBlock> in{};
         std::array<double, kStreamBlock> out{};
         bs.stepBlock(in.data(), kStreamBlock, out.data());

@@ -159,9 +159,9 @@ TEST(WireGolden, JobSpecBytesArePinned)
 TEST(WireGolden, JobFingerprintsArePinned)
 {
     EXPECT_EQ(hex(jobFingerprint(fullSpec(JobMode::kPassiveVirus))),
-              "0xbbf39fba152c2420");
+              "0xbbf3a6ba152c3005");
     EXPECT_EQ(hex(jobFingerprint(fullSpec(JobMode::kActiveEmfi))),
-              "0x21de89af9517711b");
+              "0xf6be835cb4e1bce6");
 }
 
 TEST(WireGolden, JobResultBytesArePinnedOnBothPools)
