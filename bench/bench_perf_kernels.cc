@@ -97,18 +97,6 @@ BM_AntennaReceive(benchmark::State &state)
 }
 BENCHMARK(BM_AntennaReceive);
 
-/** Full platform run, batch-trace oracle path. */
-void
-BM_PlatformRunKernelBatch(benchmark::State &state)
-{
-    platform::Platform a72(platform::junoA72Config(), 1);
-    const auto kernel =
-        core::makeResonantKernelFor(a72.pool(), 1.2e9, 67e6);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(a72.runKernelBatch(kernel, 4e-6));
-}
-BENCHMARK(BM_PlatformRunKernelBatch);
-
 /** Full platform run through the streaming pipeline (trace sinks). */
 void
 BM_PlatformRunKernelStreaming(benchmark::State &state)

@@ -1,14 +1,14 @@
 /**
  * @file
  * Trapezoidal transient engine implementation: the state-space
- * realization, its stability guard and the single-step and blocked
- * steppers over it.
+ * realization, its stability guard and the block stepper over it.
  */
 
 #include "circuit/transient.h"
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <utility>
 
 #include "util/error.h"
@@ -371,15 +371,6 @@ continuousRealization(const Netlist &netlist, const MnaSystem &mna)
 
 } // namespace
 
-const Trace &
-TransientResult::trace(const std::string &label) const
-{
-    for (std::size_t i = 0; i < labels.size(); ++i)
-        if (labels[i] == label)
-            return waveforms[i];
-    throw ConfigError("no transient probe labelled " + label);
-}
-
 TransientAnalysis::TransientAnalysis(const Netlist &netlist, double dt)
     : dt_(dt), mna_(netlist)
 {
@@ -594,139 +585,6 @@ TransientAnalysis::initialState(std::span<const double> bias) const
     return sigma;
 }
 
-TransientResult
-TransientAnalysis::run(std::size_t steps,
-                       const std::vector<SourceWaveform> &waveforms,
-                       const std::vector<Probe> &probes,
-                       std::span<const double> bias_currents) const
-{
-    requireConfig(waveforms.size() == n_src_,
-                  "transient run needs one waveform per current source");
-
-    // Resolve probe indices up front.
-    std::vector<std::size_t> probe_idx;
-    probe_idx.reserve(probes.size());
-    TransientResult result;
-    for (const auto &p : probes) {
-        if (p.kind == ProbeKind::NodeVoltage)
-            probe_idx.push_back(mna_.stateIndexOfNode(p.node));
-        else
-            probe_idx.push_back(mna_.stateIndexOfBranch(p.element));
-        result.labels.push_back(p.label);
-        Trace t(dt_);
-        t.reserve(steps);
-        result.waveforms.push_back(std::move(t));
-    }
-
-    std::vector<double> src_vals(n_src_);
-    auto eval_sources = [&](double t) {
-        for (std::size_t k = 0; k < n_src_; ++k)
-            src_vals[k] = waveforms[k](t);
-    };
-
-    // Without an explicit bias the circuit starts settled at the
-    // waveforms' t = 0 values.
-    eval_sources(0.0);
-    const std::span<const double> bias = bias_currents.empty()
-        ? std::span<const double>(src_vals)
-        : bias_currents;
-
-    // Blocked execution through the same stepper the streaming sinks
-    // use, with blocks aligned from step 1 and the remainder as one
-    // tail call — the partition any sink streaming `steps` samples
-    // produces, which is what keeps batch and stream runs of one
-    // engine bit-identical. The stepper flushes the step/
-    // state-update/block counters itself on destruction.
-    const std::size_t np = probe_idx.size();
-    TransientBlockStepper bs(*this, bias, probe_idx);
-    std::vector<double> in(kStreamBlock * n_src_);
-    std::vector<double> out(kStreamBlock * np);
-    std::size_t step = 1;
-    while (step <= steps) {
-        const std::size_t count =
-            std::min(kStreamBlock, steps - step + 1);
-        for (std::size_t c = 0; c < count; ++c) {
-            eval_sources(dt_ * static_cast<double>(step + c));
-            std::copy(src_vals.begin(), src_vals.end(),
-                      in.begin()
-                          + static_cast<std::ptrdiff_t>(c * n_src_));
-        }
-        bs.stepBlock(in.data(), count, out.data());
-        for (std::size_t c = 0; c < count; ++c)
-            for (std::size_t p = 0; p < np; ++p)
-                result.waveforms[p].push(out[c * np + p]);
-        step += count;
-    }
-    return result;
-}
-
-TransientStepper
-TransientAnalysis::makeStepper(
-    std::span<const double> bias_currents) const
-{
-    return TransientStepper(*this, bias_currents);
-}
-
-TransientStepper::TransientStepper(const TransientAnalysis &engine,
-                                   std::span<const double> bias_currents)
-    : engine_(engine), sigma_(engine.initialState(bias_currents)),
-      cur_(sigma_), next_(sigma_.size(), 0.0)
-{
-    // The DC point is the step's fixed point under the bias, so it
-    // is the state both now and after the history step.
-    const std::span<const double> bias = engine.biasOrDc(bias_currents);
-    u_.assign(bias.begin(), bias.end());
-}
-
-TransientStepper::TransientStepper(TransientStepper &&other) noexcept
-    : engine_(other.engine_), sigma_(std::move(other.sigma_)),
-      cur_(std::move(other.cur_)), next_(std::move(other.next_)),
-      u_(std::move(other.u_)), time_(other.time_),
-      steps_taken_(other.steps_taken_),
-      pending_steps_(other.pending_steps_)
-{
-    // The moved-from shell must not double-flush on destruction.
-    other.pending_steps_ = 0;
-}
-
-TransientStepper::~TransientStepper()
-{
-    flushMetrics();
-}
-
-void
-TransientStepper::flushMetrics()
-{
-    if (pending_steps_ == 0)
-        return;
-    auto &reg = metrics::Registry::instance();
-    reg.add("circuit.transient.steps", pending_steps_);
-    reg.add("circuit.transient.state_updates", pending_steps_);
-    pending_steps_ = 0;
-}
-
-void
-TransientStepper::step(std::span<const double> currents)
-{
-    requireSim(currents.size() == u_.size(),
-               "stepper: wrong number of current-source values");
-    engine_.step(sigma_.data(), currents.data(), next_.data());
-    cur_.swap(sigma_);
-    sigma_.swap(next_);
-    std::copy(currents.begin(), currents.end(), u_.begin());
-    time_ += engine_.dt_;
-    ++steps_taken_;
-    ++pending_steps_;
-}
-
-double
-TransientStepper::value(std::size_t state_index) const
-{
-    requireSim(state_index < engine_.mna_.size(),
-               "stepper state index out of range");
-    return engine_.output(state_index, cur_.data(), u_.data());
-}
-
 TransientBlockStepper
 TransientAnalysis::makeBlockStepper(
     std::span<const double> bias_currents,
@@ -809,12 +667,15 @@ TransientBlockStepper::~TransientBlockStepper()
 void
 TransientBlockStepper::flushMetrics()
 {
-    if (pending_steps_ == 0 && pending_blocks_ == 0)
-        return;
     auto &reg = metrics::Registry::instance();
-    reg.add("circuit.transient.steps", pending_steps_);
-    reg.add("circuit.transient.state_updates", pending_steps_);
-    reg.add("circuit.transient.stream_blocks", pending_blocks_);
+    if (pending_steps_ > 0) {
+        reg.add("circuit.transient.steps", pending_steps_);
+        reg.add("circuit.transient.state_updates", pending_steps_);
+    }
+    // Single-step callers (a closed loop) never fill a block and
+    // leave the block counter unset.
+    if (pending_blocks_ > 0)
+        reg.add("circuit.transient.stream_blocks", pending_blocks_);
     pending_steps_ = 0;
     pending_blocks_ = 0;
 }

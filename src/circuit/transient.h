@@ -27,12 +27,12 @@
  * update grows within kStableHorizonSteps steps.
  *
  * The realization is built once per (netlist, dt) in long double and
- * stored in double. One engine serves every execution form — run(),
- * the closed-loop TransientStepper and the open-loop
- * TransientBlockStepper that the PDN streaming sinks drive — so batch
- * and stream executions of one engine are bit-identical. Results are
- * bit-identical run-to-run and across thread counts: the step
- * arithmetic is sequential and the operation order is fixed.
+ * stored in double. It has one execution form, TransientBlockStepper:
+ * the PDN stream sink drives it in whole kStreamBlock blocks, and a
+ * closed loop (the adaptive clock) advances it one step per call,
+ * where it takes the engine's single step. Results are bit-identical
+ * run-to-run and across thread counts: the step arithmetic is
+ * sequential and the operation order is fixed.
  *
  * Known limitation (trapezoidal's ρ(∞) = 1): a mode whose time
  * constant is far below dt alternates sign from step to step while it
@@ -50,57 +50,25 @@
 #include <cstddef>
 #include <functional>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "circuit/mna.h"
 #include "circuit/netlist.h"
-#include "util/trace.h"
 
 namespace emstress {
 namespace circuit {
 
-/** What a probe observes. */
-enum class ProbeKind
-{
-    NodeVoltage,   ///< Voltage of a node versus ground.
-    BranchCurrent, ///< Current through an inductor or voltage source.
-};
-
-/** A named observation point recorded during the transient run. */
-struct Probe
-{
-    ProbeKind kind;
-    /// Node id (NodeVoltage) — unused for BranchCurrent.
-    NodeId node = kGround;
-    /// Element name (BranchCurrent) — unused for NodeVoltage.
-    std::string element;
-    /// Label under which the waveform is returned.
-    std::string label;
-};
-
 /** Waveform for one current source: value in amps at time t. */
 using SourceWaveform = std::function<double(double t_seconds)>;
 
-/** Result of a transient run: one Trace per probe, in probe order. */
-struct TransientResult
-{
-    std::vector<std::string> labels;
-    std::vector<Trace> waveforms;
-
-    /** Waveform lookup by probe label. @throws ConfigError if absent. */
-    const Trace &trace(const std::string &label) const;
-};
-
 /**
- * Agreement contract between the blocked stream stepper
- * (TransientBlockStepper) on full blocks and the per-step
- * TransientStepper, pinned by tests/test_transient_parity.cc and
- * tests/test_mitigation.cc: both advance the same realization, but a
- * full block folds kStreamBlock steps into powers of the transition
- * matrix, so its rounding differs in the low bits. Weakly damped
- * modes integrate that difference; the bound is relative to the
- * waveform's scale.
+ * Agreement contract between a TransientBlockStepper advanced in full
+ * blocks and one advanced a single step per call, pinned by
+ * tests/test_transient_parity.cc and tests/test_mitigation.cc: both
+ * advance the same realization, but a full block folds kStreamBlock
+ * steps into powers of the transition matrix, so its rounding differs
+ * in the low bits. Weakly damped modes integrate that difference; the
+ * bound is relative to the waveform's scale.
  */
 inline constexpr double kBlockedStreamParityTol = 1e-7;
 
@@ -113,13 +81,12 @@ inline constexpr std::size_t kStreamBlock = 8;
 /// caller steps one engine (a paper-budget window is ~2e4 steps).
 inline constexpr std::size_t kStableHorizonSteps = 1'000'000;
 
-class TransientStepper;
 class TransientBlockStepper;
 
 /**
  * Reusable transient engine. Builds the state-space realization and
- * its block tables once per (netlist, dt) pair; run() can then be
- * called many times with different source waveforms — the usage
+ * its block tables once per (netlist, dt) pair; any number of
+ * steppers can then run over it with different inputs — the usage
  * pattern of a GA that evaluates thousands of individuals against
  * one PDN.
  *
@@ -133,7 +100,6 @@ class TransientBlockStepper;
  */
 class TransientAnalysis
 {
-    friend class TransientStepper;
     friend class TransientBlockStepper;
 
   public:
@@ -164,59 +130,21 @@ class TransientAnalysis
     std::size_t stateCount() const { return ns_; }
 
     /**
-     * Run for a number of steps starting from a DC operating point.
+     * Create a stepper. An open-loop stream, where the next source
+     * value never depends on the previous output, advances it in
+     * blocks: it folds kStreamBlock steps into precomputed powers of
+     * the transition matrix and reads only the requested output rows,
+     * so a full block costs one small dense mat-vec instead of
+     * kStreamBlock single steps. A closed loop, whose next input
+     * depends on the last output, advances it one step per call.
      *
-     * @param steps     Number of timesteps to advance.
-     * @param waveforms One waveform per current source, in
-     *                  MnaSystem::currentSourceNames() order.
-     * @param probes    Observation points to record.
-     * @param bias_currents Current-source values the circuit sat at
-     *                  before t = 0: the initial DC operating point
-     *                  and the trapezoidal rule's t = 0 history. Pass
-     *                  the mean of each waveform so slow storage
-     *                  elements start settled; empty means the
-     *                  waveforms' t = 0 values.
-     */
-    TransientResult run(std::size_t steps,
-                        const std::vector<SourceWaveform> &waveforms,
-                        const std::vector<Probe> &probes,
-                        std::span<const double> bias_currents = {})
-        const;
-
-    /**
-     * Create an incremental stepper for closed-loop simulations
-     * where each step's source values depend on previously observed
-     * outputs (e.g. an adaptive-clocking throttle reacting to die
-     * voltage). The stepper references this engine; keep the engine
-     * alive while stepping.
-     *
-     * The initial-state convention is run()'s: the circuit sits at
-     * its DC operating point under `bias_currents` (empty means the
-     * sources' netlist DC values), which is also the trapezoidal
-     * history of the first step. A per-step stepper agrees with
-     * run() to kBlockedStreamParityTol (run() executes in
-     * kStreamBlock folds), and replays a block stepper advanced one
-     * step at a time bit-exactly: both take the same single step.
-     */
-    TransientStepper makeStepper(
-        std::span<const double> bias_currents = {}) const;
-
-    /**
-     * Create a blocked stream stepper: the high-throughput form for
-     * open-loop streams, where the next source value never depends
-     * on the previous output. It folds kStreamBlock steps into
-     * precomputed powers of the transition matrix and reads only the
-     * requested output rows, so a full block costs one small dense
-     * mat-vec instead of kStreamBlock single steps.
-     *
-     * Initial-state convention is makeStepper's. Full blocks agree
-     * with a per-step TransientStepper to kBlockedStreamParityTol
-     * (not bitwise: the matrix powers reassociate the same algebra),
-     * and are bit-identical run-to-run and across thread counts.
-     * run() itself executes through this stepper with blocks aligned
-     * from step 1, so feeding one the same whole-block partition
-     * replays run() bit-exactly — the invariant that keeps streaming
-     * sinks sample-for-sample equal to batch simulation.
+     * The circuit starts at its DC operating point under
+     * `bias_currents` (empty means the sources' netlist DC values),
+     * which is also the trapezoidal history of the first step. Full
+     * blocks agree with single steps to kBlockedStreamParityTol (not
+     * bitwise: the matrix powers reassociate the same algebra). Two
+     * steppers fed the same inputs in the same block partition agree
+     * bit for bit, run-to-run and across thread counts.
      *
      * @param probe_indices MNA unknowns (MnaSystem::stateIndexOf...)
      *        whose values stepBlock reports per advanced step, in
@@ -230,17 +158,17 @@ class TransientAnalysis
     /**
      * One step: `next` = M·`sigma` + G·`u`, the M columns four per
      * sweep and then one axpy per source in source order, so results
-     * are bit-identical run-to-run and across thread counts. Shared
-     * by the per-step TransientStepper and the block stepper's tail.
-     * `sigma` and `next` are distinct buffers of rp_ doubles.
+     * are bit-identical run-to-run and across thread counts. The
+     * block stepper's partial blocks take it. `sigma` and `next` are
+     * distinct buffers of rp_ doubles.
      */
     void step(const double *sigma, const double *u,
               double *next) const;
 
     /**
      * MNA unknown `row` at the state `sigma` and input `u`:
-     * y0 + (C·σ + D·u), summed in one fixed order. Shared by
-     * TransientStepper::value and the block stepper's tail.
+     * y0 + (C·σ + D·u), summed in one fixed order (the block
+     * stepper's partial blocks).
      */
     double output(std::size_t row, const double *sigma,
                   const double *u) const;
@@ -273,9 +201,7 @@ class TransientAnalysis
     std::size_t n_src_ = 0; ///< Current sources.
 
     /// @{ Realization tables, column-major with rp_-row columns and
-    /// zero padding rows, shared by run() and every stepper, which is
-    /// what keeps batch and stream executions of one engine
-    /// bit-identical.
+    /// zero padding rows, shared by every stepper.
     std::vector<double> m1_;  ///< M, rp_ x rp_.
     std::vector<double> g1_;  ///< G, rp_ x n_src_.
     std::vector<double> mk_;  ///< M^k (k = kStreamBlock), rp_ x rp_.
@@ -298,62 +224,6 @@ class TransientAnalysis
 };
 
 /**
- * Incremental interface to a transient simulation: advance one
- * timestep at a time with caller-chosen source values, observing the
- * MNA unknowns after each step. Counts its steps and flushes them to
- * the metrics registry (circuit.transient.steps and
- * circuit.transient.state_updates) on destruction or flushMetrics().
- */
-class TransientStepper
-{
-  public:
-    ~TransientStepper();
-    TransientStepper(TransientStepper &&other) noexcept;
-    TransientStepper &operator=(TransientStepper &&) = delete;
-
-    /** Current simulation time [s]. */
-    double time() const { return time_; }
-
-    /**
-     * Advance one timestep with the given instantaneous
-     * current-source values (MnaSystem::currentSourceNames order).
-     */
-    void step(std::span<const double> currents);
-
-    /**
-     * MNA unknown by index (see MnaSystem::stateIndexOf...) at the
-     * current time and input.
-     */
-    double value(std::size_t state_index) const;
-
-    /** Steps taken since construction. */
-    std::size_t stepsTaken() const { return steps_taken_; }
-
-    /**
-     * Flush this stepper's not-yet-reported step counts to the
-     * metrics registry (circuit.transient.steps and
-     * circuit.transient.state_updates). Idempotent; also runs on
-     * destruction, so callers only need it when a consistent
-     * registry snapshot is read while the stepper is still alive.
-     */
-    void flushMetrics();
-
-  private:
-    friend class TransientAnalysis;
-    TransientStepper(const TransientAnalysis &engine,
-                     std::span<const double> bias_currents);
-
-    const TransientAnalysis &engine_;
-    std::vector<double> sigma_; ///< State for the next step, rp_.
-    std::vector<double> cur_;   ///< State at the current time, rp_.
-    std::vector<double> next_;  ///< Step scratch, rp_.
-    std::vector<double> u_;     ///< Input at the current time.
-    double time_ = 0.0;
-    std::size_t steps_taken_ = 0;
-    std::size_t pending_steps_ = 0;
-};
-
-/**
  * Blocked stream stepper over the engine's realization (see
  * TransientAnalysis::makeBlockStepper). For a block of k =
  * kStreamBlock inputs U = [u_1 .. u_k] it computes
@@ -366,15 +236,17 @@ class TransientStepper
  * per stepper from the engine's tables: T holds the lower
  * block-triangular probe/input couplings H, W the probe rows of
  * C·M^{j-1}. The input columns come first, so only the last sweeps
- * of a block wait on the previous block's state. Partial blocks (the
- * stream tail) take the engine's single step, the one
- * TransientStepper takes.
+ * of a block wait on the previous block's state. Partial blocks (a
+ * stream's tail, or a closed loop's single steps) take the engine's
+ * single step.
  *
  * Every loop has a fixed accumulation order with vector lanes
  * carrying independent rows, so results are bit-identical
- * run-to-run and across thread counts. Counts steps like
- * TransientStepper and flushes them to the same counters, plus
- * circuit.transient.stream_blocks per full block.
+ * run-to-run and across thread counts. Counts its steps and flushes
+ * them to the metrics registry (circuit.transient.steps and
+ * circuit.transient.state_updates), plus
+ * circuit.transient.stream_blocks per full block, on destruction or
+ * flushMetrics().
  */
 class TransientBlockStepper
 {
@@ -404,7 +276,12 @@ class TransientBlockStepper
     void stepBlock(const double *currents, std::size_t count,
                    double *probe_out);
 
-    /** See TransientStepper::flushMetrics. */
+    /**
+     * Flush the not-yet-reported counts to the metrics registry.
+     * Idempotent; also runs on destruction, so callers only need it
+     * when a consistent registry snapshot is read while the stepper
+     * is still alive.
+     */
     void flushMetrics();
 
   private:

@@ -17,11 +17,12 @@
  * thread simulates on its own PDN engine and instruments.
  *
  * Every evaluator measures one way: it streams the run
- * (Platform::streamKernel) straight into its instrument sink — a
- * Goertzel band detector for the EM metric, the scope front end for
- * the voltage metrics — so no full-rate waveform is ever buffered.
- * The batch-trace path (Platform::runKernelBatch) survives only as
- * the tests' oracle, which keys its noise with the same salts below.
+ * (Platform::streamKernel) straight into its instrument sink — the
+ * FFT band detector for the EM metric, the scope front end for the
+ * voltage metrics — so no full-rate waveform is ever buffered. The
+ * whole-trace twin of these evaluators lives only in the tests
+ * (tests/batch_oracle.h), which key their noise with the same salts
+ * below.
  */
 
 #ifndef EMSTRESS_CORE_FITNESS_H

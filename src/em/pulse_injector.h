@@ -11,7 +11,7 @@
  * The model is deliberately simple and exactly reproducible: a pulse
  * is a pure function of its spec and of simulation time. The same
  * spec evaluated at the same timestamps yields bit-identical currents
- * on every path (batch run(), streaming sink, any thread count) —
+ * on every path (whole-trace or streamed, any thread count) —
  * the property the EMFI campaign replay contract builds on.
  */
 

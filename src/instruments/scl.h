@@ -34,8 +34,8 @@ class SyntheticCurrentLoad
     double duty() const { return duty_; }
 
     /**
-     * Waveform at a programmed frequency, pluggable into
-     * PdnModel::simulate as the SCL source.
+     * Waveform at a programmed frequency: the SCL source of
+     * PdnModel::streamSim (Platform::runScl) and PdnModel::simulate.
      */
     circuit::SourceWaveform waveform(double freq_hz) const;
 

@@ -11,6 +11,7 @@
 
 #include "isa/pool.h"
 
+#include <cmath>
 #include <fstream>
 #include <sstream>
 
@@ -138,8 +139,9 @@ InstructionPool::addInstruction(const InstrDef &def)
     requireConfig(!def.mnemonic.empty(), "instruction needs a mnemonic");
     requireConfig(def.latency >= 1, def.mnemonic + ": latency >= 1");
     requireConfig(def.sources <= 2, def.mnemonic + ": at most 2 sources");
-    requireConfig(def.energy >= 0.0,
-                  def.mnemonic + ": energy must be non-negative");
+    requireConfig(std::isfinite(def.energy) && def.energy >= 0.0,
+                  def.mnemonic + ": energy must be finite and "
+                                 "non-negative");
     for (const auto &d : defs_)
         requireConfig(d.mnemonic != def.mnemonic,
                       "duplicate mnemonic " + def.mnemonic);
@@ -252,6 +254,9 @@ InstructionPool::toAssembly(const Instruction &instr) const
     return os.str();
 }
 
+/// Upper bound of the pool XML's register counts and latencies.
+constexpr int kMaxPoolCount = 4096;
+
 InstructionPool
 InstructionPool::fromXmlString(const std::string &xml)
 {
@@ -267,18 +272,19 @@ InstructionPool::fromXmlString(const std::string &xml)
         throw ConfigError("unknown isa: " + isa_name);
 
     const XmlNode &regs = root.child("registers");
-    InstructionPool pool(
-        isa, static_cast<int>(regs.attrNumber("int")),
-        static_cast<int>(regs.attrNumber("fp")),
-        static_cast<int>(regs.attrNumber("simd")),
-        static_cast<int>(regs.attrNumber("mem_slots")));
+    InstructionPool pool(isa, regs.attrInteger("int", 1, kMaxPoolCount),
+                         regs.attrInteger("fp", 0, kMaxPoolCount),
+                         regs.attrInteger("simd", 0, kMaxPoolCount),
+                         regs.attrInteger("mem_slots", 0, kMaxPoolCount));
 
     for (const XmlNode *in : root.childrenNamed("instruction")) {
         InstrDef d;
         d.mnemonic = in->attr("mnemonic");
         d.cls = instrClassFromName(in->attr("class"));
-        d.latency = static_cast<unsigned>(in->attrNumber("latency"));
-        d.sources = static_cast<unsigned>(in->attrNumber("sources"));
+        d.latency = static_cast<unsigned>(
+            in->attrInteger("latency", 1, kMaxPoolCount));
+        d.sources =
+            static_cast<unsigned>(in->attrInteger("sources", 0, 2));
         d.has_dest = in->attrOr("dest", "true") == "true";
         d.energy = in->attrNumber("energy");
         const std::string rf = in->attrOr("regfile", "int");
@@ -322,7 +328,7 @@ InstructionPool::toXmlString() const
             : d.reg_file == RegFile::Fp             ? "fp"
             : d.reg_file == RegFile::Simd           ? "simd"
                                                     : "none";
-        os << "  <instruction mnemonic=\"" << d.mnemonic
+        os << "  <instruction mnemonic=\"" << escapeXml(d.mnemonic)
            << "\" class=\"" << instrClassName(d.cls) << "\" latency=\""
            << d.latency << "\" sources=\"" << d.sources << "\" dest=\""
            << (d.has_dest ? "true" : "false") << "\" regfile=\"" << rf

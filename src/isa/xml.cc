@@ -6,8 +6,10 @@
 #include "isa/xml.h"
 
 #include <cctype>
+#include <cmath>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "util/error.h"
 
@@ -49,6 +51,19 @@ XmlNode::attrNumber(const std::string &key) const
         throw ConfigError("<" + name + ">: attribute '" + key
                           + "' is not a number: '" + v + "'");
     }
+}
+
+int
+XmlNode::attrInteger(const std::string &key, int lo, int hi) const
+{
+    const double v = attrNumber(key);
+    requireConfig(std::isfinite(v) && v == std::floor(v)
+                      && v >= static_cast<double>(lo)
+                      && v <= static_cast<double>(hi),
+                  "<" + name + ">: attribute '" + key
+                      + "' must be an integer in [" + std::to_string(lo)
+                      + ", " + std::to_string(hi) + "]");
+    return static_cast<int>(v);
 }
 
 std::vector<const XmlNode *>
@@ -180,9 +195,13 @@ decodeEntities(Cursor &cur, const std::string &raw)
 
 void skipMisc(Cursor &cur);
 
+/** An element inside `depth` open elements. */
 XmlNode
-parseElement(Cursor &cur)
+parseElement(Cursor &cur, std::size_t depth)
 {
+    if (depth >= kMaxXmlDepth)
+        cur.fail("elements nested deeper than "
+                 + std::to_string(kMaxXmlDepth));
     if (!cur.consume("<"))
         cur.fail("expected '<'");
     XmlNode node;
@@ -234,7 +253,7 @@ parseElement(Cursor &cur)
             return node;
         }
         if (cur.peek() == '<') {
-            node.children.push_back(parseElement(cur));
+            node.children.push_back(parseElement(cur, depth + 1));
             continue;
         }
         std::string raw;
@@ -273,7 +292,7 @@ parseXml(std::string_view text)
     skipMisc(cur);
     if (cur.atEnd())
         cur.fail("no root element");
-    XmlNode root = parseElement(cur);
+    XmlNode root = parseElement(cur, 0);
     skipMisc(cur);
     if (!cur.atEnd())
         cur.fail("content after root element");
@@ -288,6 +307,23 @@ parseXmlFile(const std::string &path)
     std::ostringstream buf;
     buf << f.rdbuf();
     return parseXml(buf.str());
+}
+
+std::string
+escapeXml(std::string_view text)
+{
+    std::string out;
+    for (const char c : text) {
+        switch (c) {
+        case '&': out += "&amp;"; break;
+        case '<': out += "&lt;"; break;
+        case '>': out += "&gt;"; break;
+        case '"': out += "&quot;"; break;
+        case '\'': out += "&apos;"; break;
+        default: out += c; break;
+        }
+    }
+    return out;
 }
 
 } // namespace isa

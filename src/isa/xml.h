@@ -11,6 +11,7 @@
 #ifndef EMSTRESS_ISA_XML_H
 #define EMSTRESS_ISA_XML_H
 
+#include <cstddef>
 #include <map>
 #include <memory>
 #include <string>
@@ -47,6 +48,15 @@ struct XmlNode
      */
     double attrNumber(const std::string &key) const;
 
+    /**
+     * Attribute parsed as a whole number in [lo, hi]. The range is
+     * checked on the parsed double, before any integer conversion,
+     * which would be undefined for a non-finite or out-of-range value.
+     * @throws ConfigError when absent, not numeric, not whole or out
+     *         of range.
+     */
+    int attrInteger(const std::string &key, int lo, int hi) const;
+
     /** All children with a given tag name. */
     std::vector<const XmlNode *>
     childrenNamed(const std::string &name) const;
@@ -58,10 +68,16 @@ struct XmlNode
     const XmlNode &child(const std::string &name) const;
 };
 
+/// Deepest element nesting parseXml accepts (a pool nests 2 deep);
+/// the parser recurses per level, so the bound keeps crafted input
+/// from exhausting the stack.
+inline constexpr std::size_t kMaxXmlDepth = 64;
+
 /**
  * Parse an XML document from text.
  * @return The root element.
- * @throws ConfigError with a line number on malformed input.
+ * @throws ConfigError with a line number on malformed input,
+ *         including elements nested deeper than kMaxXmlDepth.
  */
 XmlNode parseXml(std::string_view text);
 
@@ -70,6 +86,9 @@ XmlNode parseXml(std::string_view text);
  * @throws ConfigError when the file cannot be read or parsed.
  */
 XmlNode parseXmlFile(const std::string &path);
+
+/** `text` as an attribute value: markup characters as entities. */
+std::string escapeXml(std::string_view text);
 
 } // namespace isa
 } // namespace emstress

@@ -53,14 +53,14 @@ AdaptiveClock::simulate(const Trace &i_load, bool mitigate) const
     const auto hold_steps = static_cast<std::size_t>(
         params_.hold_time / dt);
 
-    // Closed-loop stepping over the PDN, biased at the mean load so
-    // slow tanks start settled.
+    // Closed-loop stepping over the PDN, one step per call, biased at
+    // the mean load so slow tanks start settled.
     circuit::TransientAnalysis engine(pdn_.netlist(), dt);
     double mean_load = stats::mean(i_load.samples());
     const std::array<double, 2> bias = {mean_load, 0.0};
-    auto stepper = engine.makeStepper(bias);
-    const std::size_t v_idx =
-        engine.mna().stateIndexOfNode(pdn_.dieNode());
+    const std::array<std::size_t, 1> v_idx = {
+        engine.mna().stateIndexOfNode(pdn_.dieNode())};
+    auto stepper = engine.makeBlockStepper(bias, v_idx);
 
     MitigatedRunResult out{Trace(dt), Trace(dt)};
     out.v_die.reserve(i_load.size());
@@ -89,8 +89,8 @@ AdaptiveClock::simulate(const Trace &i_load, bool mitigate) const
             throttled ? params_.throttle_ratio : 1.0;
         const std::array<double, 2> currents = {i_load[k] * scale,
                                                 0.0};
-        stepper.step(currents);
-        const double v = stepper.value(v_idx);
+        double v = 0.0;
+        stepper.stepBlock(currents.data(), 1, &v);
         out.v_die.push(v);
         out.throttle.push(throttled ? 1.0 : 0.0);
         if (throttled)

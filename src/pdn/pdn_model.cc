@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "util/error.h"
-#include "util/metrics.h"
 #include "util/units.h"
 
 namespace emstress {
@@ -203,28 +202,6 @@ PdnModel::simulate(const Trace &i_load,
                    const circuit::SourceWaveform &i_pulse) const
 {
     requireConfig(!i_load.empty(), "PDN simulate needs a load trace");
-    requireConfig(!i_pulse || pulse_source_,
-                  "pulse injection needs the pulse source enabled "
-                  "(PdnModel::setPulseSource)");
-    const auto &eng = engineFor(i_load.dt());
-
-    const double dt = i_load.dt();
-    const std::size_t n = i_load.size();
-    auto load_wave = [&i_load, dt, n](double t) {
-        auto idx = static_cast<std::size_t>(t / dt + 0.5);
-        if (idx >= n)
-            idx = n - 1;
-        return i_load[idx];
-    };
-    circuit::SourceWaveform scl_wave = i_scl
-        ? i_scl
-        : circuit::SourceWaveform([](double) { return 0.0; });
-
-    std::vector<circuit::Probe> probes = {
-        {circuit::ProbeKind::NodeVoltage, n_die_, "", "v_die"},
-        {circuit::ProbeKind::BranchCurrent, circuit::kGround,
-         "l_pkg_die", "i_die"},
-    };
     // Bias the initial DC point at the mean load so the slow bulk
     // tanks start settled.
     double mean_load = 0.0;
@@ -232,16 +209,16 @@ PdnModel::simulate(const Trace &i_load,
         mean_load += v;
     mean_load /= static_cast<double>(i_load.size());
 
-    std::vector<circuit::SourceWaveform> waves = {load_wave, scl_wave};
-    std::vector<double> bias = {mean_load, 0.0};
-    if (pulse_source_) {
-        waves.push_back(i_pulse ? i_pulse
-                                : circuit::SourceWaveform(
-                                      [](double) { return 0.0; }));
-        bias.push_back(0.0);
-    }
-    auto result = eng.run(n, waves, probes, bias);
-    return {result.trace("v_die"), result.trace("i_die")};
+    TraceSink v_die(i_load.dt());
+    TraceSink i_die(i_load.dt());
+    v_die.reserve(i_load.size());
+    i_die.reserve(i_load.size());
+    PdnStreamSink sink = streamSim(i_load.dt(), mean_load, &v_die,
+                                   &i_die, i_pulse, i_scl);
+    for (double v : i_load.samples())
+        sink.push(v);
+    sink.finish();
+    return {v_die.take(), i_die.take()};
 }
 
 PdnStreamSink::PdnStreamSink(const circuit::TransientAnalysis &engine,
@@ -249,12 +226,13 @@ PdnStreamSink::PdnStreamSink(const circuit::TransientAnalysis &engine,
                              std::size_t iv_die, std::size_t ii_die,
                              SampleSink *v_die_out,
                              SampleSink *i_die_out,
-                             circuit::SourceWaveform i_pulse)
+                             circuit::SourceWaveform i_pulse,
+                             circuit::SourceWaveform i_scl)
     : block_(makeBlock(engine, mean_load,
                        v_die_out ? &iv_die : nullptr,
                        i_die_out ? &ii_die : nullptr)),
       dt_(dt), v_die_out_(v_die_out), i_die_out_(i_die_out),
-      i_pulse_(std::move(i_pulse)),
+      i_pulse_(std::move(i_pulse)), i_scl_(std::move(i_scl)),
       n_src_(engine.mna().currentSourceNames().size()),
       n_probe_((v_die_out ? 1 : 0) + (i_die_out ? 1 : 0))
 {
@@ -270,12 +248,10 @@ PdnStreamSink::makeBlock(const circuit::TransientAnalysis &engine,
     const std::size_t n_src = engine.mna().currentSourceNames().size();
     requireSim(n_src == 2 || n_src == 3,
                "PDN stream sink expects the load/SCL[/pulse] sources");
-    // Matches simulate(): the circuit starts at the DC point under
-    // the mean load. Only the consumed unknowns are probed: each
-    // output row of the block mat-vec is summed on its own, so the
-    // probe set never changes a row's bits, and the block partition
-    // (full blocks from step 1, remainder at finish) is the one
-    // run() executes — replay stays bit-exact.
+    // The circuit starts at the DC point under the mean load. Only
+    // the consumed unknowns are probed: each output row of the block
+    // mat-vec is summed on its own, so the probe set never changes a
+    // row's bits.
     std::array<double, 3> bias{};
     bias[0] = mean_load;
     std::vector<std::size_t> probes;
@@ -290,10 +266,11 @@ void
 PdnStreamSink::fillSourceRow(double *row, double i_load,
                              std::size_t step) const
 {
+    const double t = dt_ * static_cast<double>(step);
     row[0] = i_load;
-    row[1] = 0.0;
+    row[1] = i_scl_ ? i_scl_(t) : 0.0;
     if (n_src_ == 3)
-        row[2] = i_pulse_(dt_ * static_cast<double>(step));
+        row[2] = i_pulse_(t);
 }
 
 void
@@ -329,22 +306,15 @@ PdnStreamSink::push(double i_load)
 void
 PdnStreamSink::finish()
 {
-    if (!finished_) {
-        // The batch waveform lookup clamps past-the-end times to the
-        // last sample, so the final step re-uses it; the pulse column
-        // is a true waveform with no clamp, evaluated at the final
-        // step time exactly as run() would.
-        if (next_step_ > 0) {
-            // drainBlock keeps buffered_ < kStreamBlock, so the
-            // clamped step always fits the pending tail.
-            fillSourceRow(&in_buf_[n_src_ * buffered_], last_,
-                          next_step_);
-            ++buffered_;
-            drainBlock();
-            block_.flushMetrics();
-        }
-        metrics::Registry::instance().add("pdn.stream.samples",
-                                          emitted_);
+    if (!finished_ && next_step_ > 0) {
+        // The final step holds the last load sample; the SCL and
+        // pulse columns are true waveforms, evaluated at its time.
+        // drainBlock keeps buffered_ < kStreamBlock, so this step
+        // always fits the pending tail.
+        fillSourceRow(&in_buf_[n_src_ * buffered_], last_, next_step_);
+        ++buffered_;
+        drainBlock();
+        block_.flushMetrics();
     }
     finished_ = true;
     if (v_die_out_)
@@ -356,7 +326,8 @@ PdnStreamSink::finish()
 PdnStreamSink
 PdnModel::streamSim(double dt, double mean_load, SampleSink *v_die_out,
                     SampleSink *i_die_out,
-                    const circuit::SourceWaveform &i_pulse) const
+                    const circuit::SourceWaveform &i_pulse,
+                    const circuit::SourceWaveform &i_scl) const
 {
     requireConfig(dt > 0.0, "PDN stream needs a positive timestep");
     requireConfig(!i_pulse || pulse_source_,
@@ -366,7 +337,7 @@ PdnModel::streamSim(double dt, double mean_load, SampleSink *v_die_out,
     return PdnStreamSink(eng, dt, mean_load,
                          eng.mna().stateIndexOfNode(n_die_),
                          eng.mna().stateIndexOfBranch("l_pkg_die"),
-                         v_die_out, i_die_out, i_pulse);
+                         v_die_out, i_die_out, i_pulse, i_scl);
 }
 
 std::vector<double>

@@ -110,25 +110,26 @@ struct PdnSimResult
 };
 
 /**
- * Streaming counterpart of PdnModel::simulate: a sample sink that
- * advances the transient engine one step per pushed load-current
- * sample and forwards the probed die voltage / package-die current to
- * downstream sinks as they are computed, holding only the stepper
- * state (O(1) in run duration).
+ * The PDN transient as a sample sink: it advances the transient
+ * engine one step per pushed load-current sample and forwards the
+ * probed die voltage / package-die current to downstream sinks as they
+ * are computed, holding only the stepper state (O(1) in run duration).
+ * It is the only way the PDN steps an open-loop load;
+ * PdnModel::simulate pushes a whole trace through it.
  *
- * Replays simulate() bit-exactly: the first pushed sample is the
- * t = 0 sample, which simulate() does not step either (its step loop
- * starts at t = dt, where the batch waveform lookup already returns
- * sample 1, and the circuit's t = 0 history is the DC point under the
- * mean load), each later sample advances one step, and finish()
- * takes the final step the batch waveform clamp produces from the
- * last sample.
+ * Step convention: the first pushed sample is the t = 0 sample, which
+ * is not stepped (the circuit's t = 0 history is the DC point under
+ * the mean load), each later sample drives one step, and finish()
+ * takes a final step that re-uses the last sample, as if the load
+ * were held past its end. The SCL and pulse sources are waveforms,
+ * evaluated at each step time `dt * step`.
  *
  * The sink batches samples into a TransientBlockStepper and drains
- * whole kStreamBlock blocks — the identical block partition (full
- * blocks from step 1, remainder as one tail) that run(), and hence
- * simulate(), executes, so the bit-exact replay contract survives the
- * blocking.
+ * whole kStreamBlock blocks from step 1, the remainder as one tail at
+ * finish(). A block's bits depend on that partition, so two streams
+ * of one load agree bit for bit on every step both take inside full
+ * blocks: a stream cut at a block boundary matches the uncut stream
+ * on every step before the cut.
  */
 class PdnStreamSink final : public SampleSink
 {
@@ -147,7 +148,8 @@ class PdnStreamSink final : public SampleSink
                   double mean_load, std::size_t iv_die,
                   std::size_t ii_die, SampleSink *v_die_out,
                   SampleSink *i_die_out,
-                  circuit::SourceWaveform i_pulse);
+                  circuit::SourceWaveform i_pulse,
+                  circuit::SourceWaveform i_scl);
 
     /**
      * The block stepper over `engine`, biased at the mean load,
@@ -161,11 +163,9 @@ class PdnStreamSink final : public SampleSink
     void drainBlock();
 
     /**
-     * Source row for the step the next pushed/clamped sample drives.
-     * The pulse column is evaluated at dt * step with the identical
-     * expression run() uses (`dt_ * static_cast<double>(step)`), so
-     * the streamed source values — and hence every probe sample —
-     * stay bit-identical to simulate().
+     * Source row for the step the next pushed/clamped sample drives:
+     * the load, then the SCL and pulse waveforms at `dt_ * step`
+     * (0 for an absent SCL).
      */
     void fillSourceRow(double *row, double i_load, std::size_t step)
         const;
@@ -179,12 +179,13 @@ class PdnStreamSink final : public SampleSink
     /// Injected-pulse waveform for the third source column; only
     /// set when the model's pulse source is present (n_src_ == 3).
     circuit::SourceWaveform i_pulse_;
+    /// SCL waveform for the second source column (null: 0 A).
+    circuit::SourceWaveform i_scl_;
     /// Current sources per step row: 2 ({i_load, i_scl}) without the
     /// pulse source, 3 ({i_load, i_scl, i_pulse}) with it.
     std::size_t n_src_ = 2;
-    /// Index of the transient step the next pushed sample drives,
-    /// mirroring run()'s step counter (the first push is the t = 0
-    /// sample, not a step).
+    /// Index of the transient step the next pushed sample drives
+    /// (the first push is the t = 0 sample, not a step).
     std::size_t next_step_ = 0;
     /// Probed unknowns per step: v_die and/or i_die, whichever has a
     /// downstream sink, in that order.
@@ -253,7 +254,8 @@ class PdnModel
 
     /**
      * Transient simulation driven by a CPU load-current trace (drawn
-     * from the die node) and an optional SCL square-wave injector.
+     * from the die node) and an optional SCL square-wave injector:
+     * the whole trace pushed through streamSim, biased at its mean.
      *
      * @param i_load  Load current [A] sampled at the PDN timestep.
      * @param i_scl   Optional second injector waveform (the Juno SCL
@@ -268,28 +270,29 @@ class PdnModel
 
     /**
      * Build a streaming simulation sink (see PdnStreamSink). Pushing
-     * every load sample and calling finish() reproduces
-     * simulate(i_load) bit-exactly without materializing any trace.
+     * every load sample and calling finish() is simulate(i_load)
+     * without materializing any trace.
      *
      * @param dt        Load-sample timestep [s] (selects the cached
-     *                  engine, like simulate does via i_load.dt()).
-     * @param mean_load Mean of the full load trace [A]; biases the
-     *                  initial DC point exactly as simulate does.
-     *                  Callers stream the load twice: once through a
-     *                  MeanSink, then through this sink.
+     *                  engine).
+     * @param mean_load Mean of the full load trace [A]; the circuit
+     *                  starts at the DC point under it. Callers stream
+     *                  the load twice: once through a MeanSink, then
+     *                  through this sink.
      * @param v_die_out Downstream sink for the die voltage (may be
      *                  null to skip the probe).
      * @param i_die_out Downstream sink for the package-die inductor
      *                  current (may be null).
      * @param i_pulse   Optional EMFI pulse waveform; requires the
-     *                  pulse source (setPulseSource(true)). The sink
-     *                  evaluates it at each step time itself, exactly
-     *                  as simulate's run() loop would.
+     *                  pulse source (setPulseSource(true)).
+     * @param i_scl     Optional SCL injector waveform.
      */
     PdnStreamSink streamSim(double dt, double mean_load,
                             SampleSink *v_die_out,
                             SampleSink *i_die_out,
                             const circuit::SourceWaveform &i_pulse
+                            = nullptr,
+                            const circuit::SourceWaveform &i_scl
                             = nullptr) const;
 
     /** Input impedance magnitude at the die node over a grid [ohm]. */

@@ -75,24 +75,26 @@ scopeParamsFor(const PlatformConfig &cfg)
 }
 
 /**
- * Streaming multi-core summation: replays finishRun's rotation sum
+ * Streaming multi-core summation: the rotation sum
  *
  *     total[k] = sum_c one[(k + c*stagger) % N] * v_scale  (+ idle)
  *
- * sample-exactly while holding only the first (cores-1)*stagger
- * samples (the wrapped tail terms re-read the stream's head) and a
- * ring of the most recent (cores-1)*stagger + 1 samples. Output k is
- * emitted once input k + (cores-1)*stagger has arrived; the final
- * (cores-1)*stagger outputs flush in finish().
+ * of N core-rate samples, computed while holding only the first
+ * (cores-1)*stagger samples (the wrapped tail terms re-read the
+ * stream's head) and a ring of the most recent (cores-1)*stagger + 1
+ * samples. Output k is emitted once input k + (cores-1)*stagger has
+ * arrived; the final (cores-1)*stagger outputs flush in finish().
+ * Only the first `limit` outputs are computed.
  */
 class StaggerSumSink final : public SampleSink
 {
   public:
     StaggerSumSink(SampleSink &downstream, std::size_t n_in,
                    std::size_t stagger_cycles, std::size_t cores,
-                   double v_scale, double extra_idle)
+                   double v_scale, double extra_idle, std::size_t limit)
         : downstream_(downstream), n_in_(n_in), st_(stagger_cycles),
           cores_(cores), v_scale_(v_scale), extra_idle_(extra_idle),
+          limit_(std::min(limit, n_in)),
           max_shift_(stagger_cycles * (cores - 1)),
           ring_(max_shift_ + 1, 0.0)
     {
@@ -106,9 +108,13 @@ class StaggerSumSink final : public SampleSink
     {
         if (head_.size() < max_shift_)
             head_.push_back(v);
-        ring_[seen_ % ring_.size()] = v;
-        if (seen_ >= max_shift_)
-            emit(seen_ - max_shift_);
+        ring_[slot_] = v;
+        // The ring holds max_shift + 1 samples, so the slot after
+        // input `seen` is the one of output seen - max_shift.
+        if (++slot_ == ring_.size())
+            slot_ = 0;
+        if (seen_ >= max_shift_ && seen_ - max_shift_ < limit_)
+            emit(seen_ - max_shift_, slot_);
         ++seen_;
     }
 
@@ -117,21 +123,27 @@ class StaggerSumSink final : public SampleSink
     {
         requireSim(seen_ == n_in_,
                    "stagger sum expected the full core stream");
-        for (std::size_t k = n_in_ - max_shift_; k < n_in_; ++k)
-            emit(k);
+        std::size_t slot = slot_ + 1 == ring_.size() ? 0 : slot_ + 1;
+        for (std::size_t k = n_in_ - max_shift_; k < limit_; ++k) {
+            emit(k, slot);
+            if (++slot == ring_.size())
+                slot = 0;
+        }
         downstream_.finish();
     }
 
   private:
+    /** Output k, whose first term sits in ring slot `slot`. */
     void
-    emit(std::size_t k)
+    emit(std::size_t k, std::size_t slot)
     {
         double total = 0.0;
         for (std::size_t c = 0; c < cores_; ++c) {
+            if (c > 0 && (slot += st_) >= ring_.size())
+                slot -= ring_.size();
             const std::size_t raw = k + c * st_;
-            const double sample = raw < n_in_
-                ? ring_[raw % ring_.size()]
-                : head_[raw - n_in_];
+            const double sample =
+                raw < n_in_ ? ring_[slot] : head_[raw - n_in_];
             total += sample * v_scale_;
         }
         if (extra_idle_ > 0.0)
@@ -145,10 +157,35 @@ class StaggerSumSink final : public SampleSink
     std::size_t cores_;
     double v_scale_;
     double extra_idle_;
+    std::size_t limit_;
     std::size_t max_shift_;
     std::vector<double> ring_;
     std::vector<double> head_;
+    std::size_t slot_ = 0; ///< Ring slot of the next input.
     std::size_t seen_ = 0;
+};
+
+/** Trace-collecting observers for the runs that return waveforms. */
+struct TraceObservers
+{
+    TraceSink v_die{kPdnDt};
+    TraceSink i_die{kPdnDt};
+    TraceSink em{kPdnDt};
+
+    StreamObservers
+    reserve(std::size_t n)
+    {
+        v_die.reserve(n);
+        i_die.reserve(n);
+        em.reserve(n);
+        return {&v_die, &i_die, &em};
+    }
+
+    PlatformRunResult
+    take(const uarch::KernelRunStats &stats)
+    {
+        return {v_die.take(), i_die.take(), em.take(), stats};
+    }
 };
 
 } // namespace
@@ -357,106 +394,98 @@ Platform::setPoweredCores(std::size_t cores)
     pdn_->setPoweredCores(cores);
 }
 
-PlatformRunResult
-Platform::runKernel(const isa::Kernel &kernel, double duration_s,
-                    std::size_t active_cores) const
+/**
+ * A run's load current, played once per pipeline pass. A core-rate
+ * load is one core's current per cycle, which the pipeline sums over
+ * the active cores and resamples to the PDN timestep; a PDN-rate load
+ * feeds the PDN as it is.
+ */
+struct Platform::LoadSource
 {
-    // Stream into trace-collecting sinks: same waveforms as the batch
-    // path, one pipeline.
-    TraceSink v(kPdnDt);
-    TraceSink i(kPdnDt);
-    TraceSink e(kPdnDt);
-    const auto stats = streamKernel(
-        kernel, duration_s,
-        [&](const StreamPlan &plan) {
-            v.reserve(plan.n_samples);
-            i.reserve(plan.n_samples);
-            e.reserve(plan.n_samples);
-            return StreamObservers{&v, &i, &e};
-        },
-        active_cores);
-    return PlatformRunResult{v.take(), i.take(), e.take(), stats};
-}
+    std::size_t n = 0;  ///< Samples play() pushes.
+    double dt = kPdnDt; ///< Their interval [s].
+    bool core_rate = false; ///< Summed over cores and resampled.
+    /// Core-rate loads: start stagger between instances [samples].
+    std::size_t stagger = 1;
+    /// Core-rate loads: instances summed (0: all powered cores).
+    std::size_t active_cores = 0;
+    /// Core-rate loads: window samples wanted after the settle
+    /// lead-in, clipped to what the load covers. A PDN-rate load is
+    /// observed to its end.
+    std::size_t window = 0;
+    /// Push the n samples, then finish(). `replay` is set on pass B,
+    /// which must push the same samples as pass A.
+    std::function<void(SampleSink &sink, bool replay)> play;
+};
 
-PlatformRunResult
-Platform::runKernelBatch(const isa::Kernel &kernel, double duration_s,
-                         std::size_t active_cores) const
-{
-    const auto run = core_.runLoop(pool_, kernel, f_clk_,
-                                   duration_s + kSettleTime);
-    // Identical resonant loops on the shared PDN effectively
-    // phase-lock (voltage-delay entrainment), so kernel instances
-    // sum near-coherently: a small launch stagger only.
-    return finishRun(run, duration_s, active_cores,
-                     kCorePhaseStagger);
-}
-
-uarch::KernelRunStats
-Platform::streamKernel(const isa::Kernel &kernel, double duration_s,
-                       const ObserverFactory &make_observers,
-                       std::size_t active_cores) const
+std::size_t
+Platform::pipeline(const LoadSource &load,
+                   const circuit::SourceWaveform &i_scl,
+                   const std::function<StreamObservers(std::size_t)>
+                       &make_observers) const
 {
     const std::size_t powered = pdn_->poweredCores();
-    if (active_cores == 0)
-        active_cores = powered;
-    requireConfig(active_cores <= powered,
+    const std::size_t active =
+        load.active_cores == 0 ? powered : load.active_cores;
+    requireConfig(active <= powered,
                   "cannot run on more cores than are powered");
-
-    // Observability only: the span/counters never feed the run.
-    metrics::ScopedPhase stream_span("platform.stream");
-    metrics::Registry::instance().add("platform.stream.runs");
-
-    // The whole run's shape is known a priori: the loop emits one
-    // current sample per simulated cycle.
-    const double total_s = duration_s + kSettleTime;
-    const double cycle_dt = 1.0 / f_clk_;
-    const std::size_t n_cycles =
-        uarch::CoreModel::loopEmitCount(f_clk_, total_s);
-    const auto stagger_cycles = std::max<std::size_t>(
-        1,
-        static_cast<std::size_t>(kCorePhaseStagger / cycle_dt));
     const double v_scale = v_supply_ / config_.core.v_ref;
+    // Powered but inactive cores draw leakage.
     const double extra_idle = config_.core.idle_current * v_scale
-        * static_cast<double>(powered - active_cores);
+        * static_cast<double>(powered - active);
 
-    const std::size_t n_pdn = Trace::outputLengthFor(
-        cycle_dt * static_cast<double>(n_cycles), kPdnDt);
+    // The window: the settle lead-in is stripped, and output k is
+    // transient step k + 1.
+    const std::size_t n_pdn = load.core_rate
+        ? Trace::outputLengthFor(load.dt * static_cast<double>(load.n),
+                                 kPdnDt)
+        : load.n;
     std::size_t settle_steps =
         static_cast<std::size_t>(kSettleTime / kPdnDt);
     if (settle_steps >= n_pdn)
         settle_steps = 0;
-    const std::size_t want =
-        static_cast<std::size_t>(duration_s / kPdnDt);
-    const std::size_t n = std::min(want, n_pdn - settle_steps);
+    const std::size_t n = load.core_rate
+        ? std::min(load.window, n_pdn - settle_steps)
+        : n_pdn - settle_steps;
     requireSim(n >= 16, "run produced too few PDN samples");
-    metrics::Registry::instance().add("platform.stream.samples", n);
 
-    // Pass A: the batch path biases the PDN's initial DC point at the
-    // mean of the whole load trace, which a single forward pass cannot
-    // know before stepping — so run the (deterministic) core pipeline
-    // once into a mean accumulator, recording a bounded prefix+period
-    // replay so Pass B does not have to simulate the core again.
-    MeanSink mean_sink;
-    uarch::KernelRunStats stats;
-    uarch::LoopRecording rec;
-    {
-        ZohResampleSink zoh(mean_sink, n_cycles, cycle_dt, kPdnDt);
-        StaggerSumSink sum(zoh, n_cycles, stagger_cycles, active_cores,
-                           v_scale, extra_idle);
-        stats = core_.runLoopInto(pool_, kernel, f_clk_, total_s, sum,
-                                  &rec);
-    }
+    // Step the PDN only as far as the window reaches, step
+    // settle + n, rounded up to whole kStreamBlock blocks: every
+    // window step then sits in a full block fed its true load sample,
+    // and the held final step of the shortened stream lands in a
+    // tail block of its own, past the window. A tail block rounds
+    // differently from a full one, so an unaligned cut would move
+    // bits. The DC bias stays the mean of the whole load. Only a
+    // core-rate load runs past its window; the ZOH cuts it.
+    constexpr std::size_t kBlock = circuit::kStreamBlock;
+    const std::size_t last_step =
+        (settle_steps + n + kBlock - 1) / kBlock * kBlock;
+    const std::size_t keep = std::min(n_pdn, last_step + 1);
 
-    const StreamPlan plan{stats, n, kPdnDt};
-    const StreamObservers obs = make_observers(plan);
+    // Feeds `sink` the load at the PDN timestep, a core-rate load cut
+    // after `limit` samples.
+    const auto feed = [&](SampleSink &sink, std::size_t limit,
+                          bool replay) {
+        if (!load.core_rate) {
+            load.play(sink, replay);
+            return;
+        }
+        ZohResampleSink zoh(sink, load.n, load.dt, kPdnDt, limit);
+        StaggerSumSink sum(zoh, load.n, load.stagger, active, v_scale,
+                           extra_idle, zoh.inputsRead());
+        load.play(sum, replay);
+    };
+
+    MeanSink mean;
+    feed(mean, n_pdn, false);
+
+    const StreamObservers obs = make_observers(n);
     if (obs.v_die == nullptr && obs.i_die == nullptr
         && obs.em == nullptr)
-        return stats;
+        return 0;
 
-    // Pass B: replay the identical core simulation through the PDN
-    // stepper. Settle-time lead-ins are stripped by slice sinks; the
-    // antenna couples to the sliced die current, exactly as the batch
-    // path differentiates the sliced trace.
+    // Settle-time lead-ins are stripped by slice sinks; the antenna
+    // couples to the sliced die current.
     std::optional<SliceSink> v_slice;
     if (obs.v_die != nullptr)
         v_slice.emplace(*obs.v_die, settle_steps, n);
@@ -485,16 +514,72 @@ Platform::streamKernel(const isa::Kernel &kernel, double duration_s,
         i_tap = &*em_slice;
     }
 
-    pdn::PdnStreamSink pdn_sink = pdn_->streamSim(
-        kPdnDt, mean_sink.mean(),
-        v_slice ? &*v_slice : nullptr, i_tap, pulseWave());
-    ZohResampleSink zoh(pdn_sink, n_cycles, cycle_dt, kPdnDt);
-    StaggerSumSink sum(zoh, n_cycles, stagger_cycles, active_cores,
-                       v_scale, extra_idle);
-    if (rec.complete())
-        rec.emitInto(sum);
-    else
-        core_.runLoopInto(pool_, kernel, f_clk_, total_s, sum);
+    pdn::PdnStreamSink pdn_sink =
+        pdn_->streamSim(kPdnDt, mean.mean(),
+                        v_slice ? &*v_slice : nullptr, i_tap,
+                        pulseWave(), i_scl);
+    feed(pdn_sink, keep, true);
+    metrics::Registry::instance().add("pdn.stream.samples",
+                                      pdn_sink.emitted());
+    return keep;
+}
+
+PlatformRunResult
+Platform::runKernel(const isa::Kernel &kernel, double duration_s,
+                    std::size_t active_cores) const
+{
+    TraceObservers traces;
+    const auto stats = streamKernel(
+        kernel, duration_s,
+        [&](const StreamPlan &plan) {
+            return traces.reserve(plan.n_samples);
+        },
+        active_cores);
+    return traces.take(stats);
+}
+
+uarch::KernelRunStats
+Platform::streamKernel(const isa::Kernel &kernel, double duration_s,
+                       const ObserverFactory &make_observers,
+                       std::size_t active_cores) const
+{
+    // Observability only: the span/counters never feed the run.
+    metrics::ScopedPhase stream_span("platform.stream");
+    metrics::Registry::instance().add("platform.stream.runs");
+
+    // The loop emits one current sample per simulated cycle. Pass A
+    // runs the core and records a bounded prefix+period replay, so
+    // pass B does not have to simulate the core again.
+    const double total_s = duration_s + kSettleTime;
+    const double cycle_dt = 1.0 / f_clk_;
+    uarch::KernelRunStats stats;
+    uarch::LoopRecording rec;
+    LoadSource load;
+    load.n = uarch::CoreModel::loopEmitCount(f_clk_, total_s);
+    load.dt = cycle_dt;
+    load.core_rate = true;
+    // Identical resonant loops on the shared PDN effectively
+    // phase-lock (voltage-delay entrainment), so kernel instances
+    // sum near-coherently: a small launch stagger only.
+    load.stagger = std::max<std::size_t>(
+        1, static_cast<std::size_t>(kCorePhaseStagger / cycle_dt));
+    load.active_cores = active_cores;
+    load.window = static_cast<std::size_t>(duration_s / kPdnDt);
+    load.play = [&](SampleSink &sink, bool replay) {
+        if (!replay)
+            stats = core_.runLoopInto(pool_, kernel, f_clk_, total_s,
+                                      sink, &rec);
+        else if (rec.complete())
+            rec.emitInto(sink);
+        else
+            core_.runLoopInto(pool_, kernel, f_clk_, total_s, sink);
+    };
+
+    pipeline(load, nullptr, [&](std::size_t n) {
+                 metrics::Registry::instance().add(
+                     "platform.stream.samples", n);
+                 return make_observers(StreamPlan{stats, n, kPdnDt});
+             });
     return stats;
 }
 
@@ -504,17 +589,54 @@ Platform::runStream(std::span<const isa::Instruction> stream,
 {
     // Observability only: the span never feeds the run.
     metrics::ScopedPhase span("platform.run_stream");
-    auto run = core_.runStream(pool_, stream, f_clk_);
-    requireConfig(run.current.duration() >= duration_s + kSettleTime,
+    const auto run = core_.runStream(pool_, stream, f_clk_);
+    const Trace &one = run.current;
+    requireConfig(one.duration() >= duration_s + kSettleTime,
                   "instruction stream too short for the requested "
                   "duration; generate a longer stream");
     // Benchmark instances are independent programs at unrelated
     // execution points: decorrelate them with a large stagger so
     // their stochastic current components do not add coherently.
-    const double decorrelate = run.current.duration()
+    const double decorrelate = one.duration()
         / static_cast<double>(std::max<std::size_t>(
             2, pdn_->poweredCores() + 1));
-    return finishRun(run, duration_s, active_cores, decorrelate);
+    LoadSource load;
+    load.n = one.size();
+    load.dt = one.dt();
+    load.core_rate = true;
+    load.stagger = std::max<std::size_t>(
+        1, static_cast<std::size_t>(decorrelate / one.dt()));
+    load.active_cores = active_cores;
+    load.window = static_cast<std::size_t>(duration_s / kPdnDt);
+    load.play = [&one](SampleSink &sink, bool) {
+        for (const double v : one.samples())
+            sink.push(v);
+        sink.finish();
+    };
+
+    TraceObservers traces;
+    const std::size_t steps = pipeline(
+        load, nullptr, [&](std::size_t n) { return traces.reserve(n); });
+    metrics::Registry::instance().add("platform.run_stream.pdn_steps",
+                                      steps);
+    return traces.take(run.stats);
+}
+
+PlatformRunResult
+Platform::runConstantLoad(double current, double duration_s,
+                          const circuit::SourceWaveform &i_scl) const
+{
+    LoadSource load;
+    load.n = static_cast<std::size_t>((duration_s + kSettleTime) / kPdnDt);
+    load.play = [current, n = load.n](SampleSink &sink, bool) {
+        for (std::size_t i = 0; i < n; ++i)
+            sink.push(current);
+        sink.finish();
+    };
+    TraceObservers traces;
+    pipeline(load, i_scl,
+             [&](std::size_t n) { return traces.reserve(n); });
+    return traces.take({});
 }
 
 PlatformRunResult
@@ -524,136 +646,19 @@ Platform::runScl(double freq_hz, double amplitude_a,
     requireConfig(config_.has_scl,
                   config_.name + " has no SCL injector");
     // Idle cores: flat leakage-level load.
-    const double total = duration_s + kSettleTime;
-    Trace idle(kPdnDt);
-    const auto steps = static_cast<std::size_t>(total / kPdnDt);
-    idle.reserve(steps);
-    const double idle_current = config_.core.idle_current
-        * static_cast<double>(pdn_->poweredCores());
-    for (std::size_t i = 0; i < steps; ++i)
-        idle.push(idle_current);
-
-    instruments::SyntheticCurrentLoad scl(amplitude_a);
-    auto sim = pdn_->simulate(idle, scl.waveform(freq_hz),
-                              pulseWave());
-
-    const auto settle_steps =
-        static_cast<std::size_t>(kSettleTime / kPdnDt);
-    PlatformRunResult out{
-        sim.v_die.slice(settle_steps, sim.v_die.size() - settle_steps),
-        sim.i_die.slice(settle_steps, sim.i_die.size() - settle_steps),
-        Trace(kPdnDt),
-        {}};
-    out.em = antenna_.receive(out.i_die, config_.antenna_distance_m);
-    return out;
+    const instruments::SyntheticCurrentLoad scl(amplitude_a);
+    return runConstantLoad(config_.core.idle_current
+                               * static_cast<double>(poweredCores()),
+                           duration_s, scl.waveform(freq_hz));
 }
 
 PlatformRunResult
 Platform::runIdle(double duration_s) const
 {
-    const double total = duration_s + kSettleTime;
-    Trace idle(kPdnDt);
-    const auto steps = static_cast<std::size_t>(total / kPdnDt);
-    idle.reserve(steps);
-    const double current = config_.core.idle_current
-        * (v_supply_ / config_.core.v_ref)
-        * static_cast<double>(pdn_->poweredCores());
-    for (std::size_t i = 0; i < steps; ++i)
-        idle.push(current);
-    auto sim = pdn_->simulate(idle, nullptr, pulseWave());
-
-    const auto settle_steps =
-        static_cast<std::size_t>(kSettleTime / kPdnDt);
-    const std::size_t n = sim.v_die.size() - settle_steps;
-    PlatformRunResult out{sim.v_die.slice(settle_steps, n),
-                          sim.i_die.slice(settle_steps, n),
-                          Trace(kPdnDt),
-                          {}};
-    out.em = antenna_.receive(out.i_die, config_.antenna_distance_m);
-    return out;
-}
-
-PlatformRunResult
-Platform::finishRun(const uarch::CoreRunResult &core_run,
-                    double duration_s, std::size_t active_cores,
-                    double stagger_s) const
-{
-    const std::size_t powered = pdn_->poweredCores();
-    if (active_cores == 0)
-        active_cores = powered;
-    requireConfig(active_cores <= powered,
-                  "cannot run on more cores than are powered");
-
-    // Sum per-core currents with mutual phase offsets by rotating
-    // the single-instance trace.
-    const Trace &one = core_run.current;
-    const auto stagger_cycles = std::max<std::size_t>(
-        1, static_cast<std::size_t>(stagger_s / one.dt()));
-    requireSim(one.size() > stagger_cycles * active_cores,
-               "core trace too short for phase-shifted summation");
-    Trace total(one.dt());
-    total.data().assign(one.size(), 0.0);
-    const double v_scale = v_supply_ / config_.core.v_ref;
-    for (std::size_t c = 0; c < active_cores; ++c) {
-        const std::size_t shift = c * stagger_cycles;
-        for (std::size_t k = 0; k < one.size(); ++k)
-            total[k] += one[(k + shift) % one.size()] * v_scale;
-    }
-    // Idle (powered but inactive) cores draw leakage.
-    const double extra_idle = config_.core.idle_current * v_scale
-        * static_cast<double>(powered - active_cores);
-    if (extra_idle > 0.0) {
-        for (std::size_t k = 0; k < total.size(); ++k)
-            total[k] += extra_idle;
-    }
-
-    const Trace i_load = total.resampleZeroOrderHold(kPdnDt);
-
-    // Discard the settle lead-in.
-    std::size_t settle_steps =
-        static_cast<std::size_t>(kSettleTime / kPdnDt);
-    if (settle_steps >= i_load.size())
-        settle_steps = 0;
-    const std::size_t want =
-        static_cast<std::size_t>(duration_s / kPdnDt);
-    const std::size_t n = std::min(want, i_load.size() - settle_steps);
-    requireSim(n >= 16, "run produced too few PDN samples");
-
-    // Step the PDN only as far as the observed window reaches. Output
-    // k is transient step k + 1, so the window ends at step
-    // settle + n. Rounding that up to whole kStreamBlock blocks keeps
-    // every window step inside a full block fed its true load sample:
-    // the clamped final step of the shortened stream lands in a tail
-    // block of its own, past the window. A tail-block stepBlock call
-    // rounds differently from a full block, so an unaligned cut would
-    // move bits. The DC bias stays the mean of the whole load.
-    constexpr std::size_t kBlock = circuit::kStreamBlock;
-    const std::size_t last_step =
-        (settle_steps + n + kBlock - 1) / kBlock * kBlock;
-    const std::size_t keep = std::min(i_load.size(), last_step + 1);
-    metrics::Registry::instance().add("platform.run_stream.pdn_steps",
-                                      keep);
-    double mean_load = 0.0;
-    for (double v : i_load.samples())
-        mean_load += v;
-    mean_load /= static_cast<double>(i_load.size());
-
-    TraceSink v_die(kPdnDt);
-    TraceSink i_die(kPdnDt);
-    v_die.reserve(n);
-    i_die.reserve(n);
-    SliceSink v_slice(v_die, settle_steps, n);
-    SliceSink i_slice(i_die, settle_steps, n);
-    pdn::PdnStreamSink pdn_sink = pdn_->streamSim(
-        kPdnDt, mean_load, &v_slice, &i_slice, pulseWave());
-    for (std::size_t k = 0; k < keep; ++k)
-        pdn_sink.push(i_load[k]);
-    pdn_sink.finish();
-
-    PlatformRunResult out{v_die.take(), i_die.take(), Trace(kPdnDt),
-                          core_run.stats};
-    out.em = antenna_.receive(out.i_die, config_.antenna_distance_m);
-    return out;
+    return runConstantLoad(config_.core.idle_current
+                               * (v_supply_ / config_.core.v_ref)
+                               * static_cast<double>(poweredCores()),
+                           duration_s, nullptr);
 }
 
 } // namespace platform

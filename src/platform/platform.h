@@ -86,8 +86,8 @@ struct PlatformRunResult
 /**
  * Shape of a streaming kernel run, known before any sample flows:
  * what each observer sink will receive. Observer factories use it to
- * size streaming detectors (a Goertzel bank needs the capture length
- * up front) and to pick bands from the loop statistics.
+ * size streaming detectors (the FFT detector's plan is fixed by the
+ * capture length) and to pick bands from the loop statistics.
  */
 struct StreamPlan
 {
@@ -185,10 +185,10 @@ class Platform
     /// @{ Active EM fault injection.
     /**
      * Arm an EMFI pulse: every subsequent run (kernel, stream, SCL,
-     * idle, and the runKernelBatch test oracle) injects the pulse as
-     * an extra PDN current source until disarmPulse(). The spec's t0 is
-     * relative to the *observed* window: the settle lead-in every run
-     * discards is prepended automatically.
+     * idle) injects the pulse as an extra PDN current source until
+     * disarmPulse(). The spec's t0 is relative to the *observed*
+     * window: the settle lead-in every run discards is prepended
+     * automatically.
      *
      * A zero-amplitude spec is recorded but injects nothing and —
      * deliberately — leaves the PDN netlist untouched, so zero-amp
@@ -214,7 +214,8 @@ class Platform
     /**
      * Run a kernel loop on a number of active cores (each core runs
      * its own instance, mutually phase-shifted) for a duration of
-     * steady-state time, and return PDN + EM waveforms.
+     * steady-state time, and return PDN + EM waveforms: streamKernel
+     * into trace-collecting observers.
      *
      * @param kernel       Loop body.
      * @param duration_s   Steady-state window to record.
@@ -225,33 +226,20 @@ class Platform
                                 std::size_t active_cores = 0) const;
 
     /**
-     * Batch-trace implementation of runKernel: sums staggered core
-     * traces, resamples, runs the PDN transient over the window
-     * (finishRun, shared with runStream), then couples the antenna.
-     * The tests' parity oracle for the streaming path only — no
-     * measurement uses it; runKernel itself streams into trace sinks
-     * and returns bit-identical waveforms.
-     */
-    PlatformRunResult runKernelBatch(const isa::Kernel &kernel,
-                                     double duration_s,
-                                     std::size_t active_cores = 0)
-        const;
-
-    /**
      * Streaming kernel run: drive the whole core → stagger-sum → ZOH
      * → PDN → antenna pipeline one sample at a time into caller
      * observers, never materializing a waveform (O(1) memory in
-     * duration). Sample values are bit-identical to runKernelBatch's
-     * traces.
+     * duration). Sample values are bit-identical to the whole-trace
+     * oracle in tests/batch_oracle.h.
      *
      * The run happens in two passes over the core simulation: pass A
-     * accumulates the mean PDN load (the batch path biases the PDN's
-     * initial DC point at the mean of the full load trace, which a
-     * single streaming pass cannot know up front), pass B replays the
-     * identical simulation through the PDN stepper into the
-     * observers. The factory is invoked between the passes with the
-     * run's plan, so observers can be sized exactly and choose bands
-     * from the measured loop statistics.
+     * accumulates the mean PDN load (the PDN starts at the DC point
+     * under the mean of the full load trace, which a single streaming
+     * pass cannot know up front), pass B replays the identical
+     * simulation through the PDN stepper into the observers. The
+     * factory is invoked between the passes with the run's plan, so
+     * observers can be sized exactly and choose bands from the
+     * measured loop statistics.
      *
      * Unwind contract (fault injection relies on this): an observer
      * may throw from push() mid-stream — e.g. a TruncatingSink
@@ -281,12 +269,9 @@ class Platform
     /**
      * Run a finite instruction stream (synthetic benchmark) on active
      * cores. The core simulates the whole stream (the stagger spans
-     * it and the PDN's DC bias is its mean load), but the PDN steps
-     * only through the settle lead-in and the observed window,
-     * rounded up to whole transient blocks: a stream sized for full
-     * issue width can run ten times longer than the window, and the
-     * samples past it are never read. The result is bit-identical to
-     * stepping the whole load.
+     * it and the PDN's DC bias is its mean load); the instances are
+     * staggered by a large fraction of the stream so their stochastic
+     * current components do not add coherently.
      */
     PlatformRunResult
     runStream(std::span<const isa::Instruction> stream,
@@ -307,15 +292,39 @@ class Platform
     PlatformRunResult runIdle(double duration_s) const;
 
   private:
+    /** A run's load current (defined in platform.cc). */
+    struct LoadSource;
+
     /**
-     * Common tail of a run: sum active-core instances (staggered by
-     * stagger_s), add idle-core leakage, drive the PDN through the
-     * streaming stepper up to the block-aligned end of the window,
-     * strip the settle lead-in and couple the antenna.
+     * The one execution path of every run, in two passes over the
+     * load. Pass A streams it into a mean accumulator. Pass B streams
+     * it again through the PDN stepper, biased at that mean, into the
+     * observers: load → stagger sum and ZOH (core-rate loads only) →
+     * PDN → settle-strip slice → v_die / i_die observers and the
+     * antenna → em. The PDN steps only to the end of the window,
+     * rounded up to whole transient blocks; every window sample is
+     * the one stepping the whole load gives.
+     *
+     * @param i_scl          Optional SCL waveform.
+     * @param make_observers Called between the passes with the
+     *                       window length; entries left null are
+     *                       skipped, and all null skips pass B.
+     * @return PDN steps taken in pass B (0 when it was skipped).
+     */
+    std::size_t
+    pipeline(const LoadSource &load,
+             const circuit::SourceWaveform &i_scl,
+             const std::function<StreamObservers(std::size_t)>
+                 &make_observers) const;
+
+    /**
+     * A constant load over the settle lead-in and `duration_s`
+     * through the pipeline, windowed to every sample after the
+     * lead-in (the idle and SCL runs).
      */
     PlatformRunResult
-    finishRun(const uarch::CoreRunResult &core_run, double duration_s,
-              std::size_t active_cores, double stagger_s) const;
+    runConstantLoad(double current, double duration_s,
+                    const circuit::SourceWaveform &i_scl) const;
 
     /**
      * The armed pulse as a simulation-time waveform (t0 shifted past

@@ -290,7 +290,7 @@ class JsonParser
     JsonValue
     parse()
     {
-        JsonValue v = parseValue();
+        JsonValue v = parseValue(0);
         skipWs();
         requireSim(pos_ == text_.size(),
                    "metrics JSON: trailing characters");
@@ -325,14 +325,19 @@ class JsonParser
         ++pos_;
     }
 
+    /** A value inside `depth` open objects and arrays. */
     JsonValue
-    parseValue()
+    parseValue(std::size_t depth)
     {
         const char ch = peek();
+        if (ch == '{' || ch == '[')
+            requireSim(depth < kMaxJsonDepth,
+                       "metrics JSON: nested deeper than "
+                           + std::to_string(kMaxJsonDepth));
         if (ch == '{')
-            return parseObject();
+            return parseObject(depth + 1);
         if (ch == '[')
-            return parseArray();
+            return parseArray(depth + 1);
         if (ch == '"') {
             JsonValue v;
             v.kind = JsonValue::Kind::String;
@@ -347,7 +352,7 @@ class JsonParser
     }
 
     JsonValue
-    parseObject()
+    parseObject(std::size_t depth)
     {
         JsonValue v;
         v.kind = JsonValue::Kind::Object;
@@ -359,7 +364,7 @@ class JsonParser
         while (true) {
             std::string key = parseString();
             expect(':');
-            v.object.emplace_back(std::move(key), parseValue());
+            v.object.emplace_back(std::move(key), parseValue(depth));
             const char ch = peek();
             ++pos_;
             if (ch == '}')
@@ -370,7 +375,7 @@ class JsonParser
     }
 
     JsonValue
-    parseArray()
+    parseArray(std::size_t depth)
     {
         JsonValue v;
         v.kind = JsonValue::Kind::Array;
@@ -380,7 +385,7 @@ class JsonParser
             return v;
         }
         while (true) {
-            v.array.push_back(parseValue());
+            v.array.push_back(parseValue(depth));
             const char ch = peek();
             ++pos_;
             if (ch == ']')

@@ -254,10 +254,16 @@ std::string benchPerfJson(const std::string &bench,
                           std::size_t threads,
                           const MetricsSnapshot &snap);
 
+/// Deepest object/array nesting parseSnapshotJson accepts (the
+/// snapshot schema nests 3 deep); the parser recurses per level, so
+/// the bound keeps crafted input from exhausting the stack.
+inline constexpr std::size_t kMaxJsonDepth = 64;
+
 /**
  * Parse a snapshot back from toJson() or benchPerfJson() output
  * (extra header keys are ignored). Round-trips bit-exactly.
- * @throws SimulationError on malformed input.
+ * @throws SimulationError on malformed input, including nesting
+ *         deeper than kMaxJsonDepth.
  */
 MetricsSnapshot parseSnapshotJson(const std::string &json);
 

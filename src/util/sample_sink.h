@@ -16,7 +16,9 @@
 #ifndef EMSTRESS_UTIL_SAMPLE_SINK_H
 #define EMSTRESS_UTIL_SAMPLE_SINK_H
 
+#include <algorithm>
 #include <cstddef>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -133,33 +135,49 @@ class SliceSink final : public SampleSink
  * the output length comes from Trace::outputLengthFor and each output
  * sample j replays input index clamp(floor(new_dt * j / dt_in)).
  * The input length must be known a priori (it fixes the output
- * length and the tail clamp).
+ * length and the tail clamp). A `limit` cuts the output short: only
+ * its first `limit` samples are emitted, and inputs past them are
+ * consumed without work.
  */
 class ZohResampleSink final : public SampleSink
 {
   public:
     ZohResampleSink(SampleSink &downstream, std::size_t n_in,
-                    double dt_in, double new_dt)
+                    double dt_in, double new_dt,
+                    std::size_t limit
+                    = std::numeric_limits<std::size_t>::max())
         : downstream_(downstream), n_in_(n_in), dt_in_(dt_in),
           new_dt_(new_dt)
     {
         requireConfig(new_dt > 0.0, "resample dt must be positive");
         requireConfig(n_in > 0,
                       "ZohResampleSink needs a non-empty input");
-        n_out_ = Trace::outputLengthFor(
-            dt_in * static_cast<double>(n_in), new_dt);
+        n_out_ = std::min(limit,
+                          Trace::outputLengthFor(
+                              dt_in * static_cast<double>(n_in), new_dt));
+        next_src_ = srcIndex(0);
     }
 
     /** Output samples this stream will produce. */
     std::size_t outputSize() const { return n_out_; }
 
+    /**
+     * Inputs the outputs read (the last output's source index + 1):
+     * later inputs are consumed without effect.
+     */
+    std::size_t
+    inputsRead() const
+    {
+        return n_out_ == 0 ? 0 : srcIndex(n_out_ - 1) + 1;
+    }
+
     void
     push(double v) override
     {
         last_ = v;
-        while (next_out_ < n_out_ && srcIndex(next_out_) == seen_) {
+        while (next_out_ < n_out_ && next_src_ == seen_) {
             downstream_.push(v);
-            ++next_out_;
+            next_src_ = srcIndex(++next_out_);
         }
         ++seen_;
     }
@@ -193,6 +211,7 @@ class ZohResampleSink final : public SampleSink
     double new_dt_;
     std::size_t n_out_ = 0;
     std::size_t next_out_ = 0;
+    std::size_t next_src_ = 0; ///< srcIndex(next_out_).
     std::size_t seen_ = 0;
     double last_ = 0.0;
 };

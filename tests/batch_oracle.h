@@ -3,19 +3,21 @@
  * Batch-trace oracle evaluator for the streaming fitness tests. It
  * measures what core::EmAmplitudeFitness, MaxDroopFitness and
  * PeakToPeakFitness measure, but from whole materialized traces:
- * Platform::runKernelBatch, then SpectrumAnalyzer::averagedMaxAmplitude
- * (FFT sweeps) or Oscilloscope::capture. Its noise is keyed with the
+ * runKernelBatch, then SpectrumAnalyzer::averagedMaxAmplitude (FFT
+ * sweeps) or Oscilloscope::capture. Its noise is keyed with the
  * production evaluators' salts, so the two must agree bit for bit.
  * It carries no fault model: TruncatedStream faults exist only on the
  * streaming path.
  *
- * It also holds the whole-trace oracles of the V_MIN layer:
- * wholeTraceRunStream steps the PDN over a benchmark's entire load
- * trace with PdnModel::simulate, as Platform::runStream did before it
- * stepped only the observed window, and traceLadderRow synthesizes
+ * It also holds the whole-trace oracles of every Platform run method,
+ * which all stream through one pipeline in production:
+ * runKernelBatch, wholeTraceRunStream, wholeTraceRunScl and
+ * wholeTraceRunIdle materialize the load, run PdnModel::simulate over
+ * all of it and slice the window, as the platform did before its runs
+ * streamed. The V_MIN layer's traceLadderRow synthesizes
  * every ladder run as a full die-voltage waveform and classifies its
  * minimum, as VminTester did before it reduced the nominal waveform
- * to its deepest droop. Production must match both bit for bit.
+ * to its deepest droop. Production must match each bit for bit.
  */
 
 #ifndef EMSTRESS_TESTS_BATCH_ORACLE_H
@@ -34,6 +36,7 @@
 #include "dsp/spectrum.h"
 #include "em/pulse_injector.h"
 #include "instruments/oscilloscope.h"
+#include "instruments/scl.h"
 #include "platform/platform.h"
 #include "uarch/core_model.h"
 #include "util/error.h"
@@ -45,6 +48,179 @@
 
 namespace emstress {
 namespace core {
+
+/// Settle lead-in every platform run prepends and strips [s]; the
+/// platform's private constant, restated for the oracles.
+inline constexpr double kOracleSettleTime = 0.5e-6;
+
+/// Launch stagger between kernel instances [s]; the platform's
+/// private constant, restated for the oracles.
+inline constexpr double kOracleCoreStagger = 1e-9;
+
+/** The platform's armed pulse as a simulation-time waveform. */
+inline circuit::SourceWaveform
+oraclePulseWave(const platform::Platform &plat)
+{
+    if (!plat.armedPulse())
+        return nullptr;
+    const em::PulseInjector injector(*plat.armedPulse());
+    if (injector.isNull())
+        return nullptr;
+    return injector.waveform(kOracleSettleTime);
+}
+
+/**
+ * PdnModel::simulate over a whole load trace, the settle lead-in and
+ * everything past `n` window samples stripped, the antenna coupled
+ * to the sliced die current.
+ */
+inline platform::PlatformRunResult
+wholeTraceWindow(const platform::Platform &plat, const Trace &i_load,
+                 const circuit::SourceWaveform &i_scl,
+                 std::size_t settle_steps, std::size_t n)
+{
+    auto sim = plat.pdnModel().simulate(i_load, i_scl,
+                                        oraclePulseWave(plat));
+    platform::PlatformRunResult out{
+        sim.v_die.slice(settle_steps, n),
+        sim.i_die.slice(settle_steps, n), Trace(platform::kPdnDt), {}};
+    out.em = plat.antenna().receive(out.i_die,
+                                    plat.config().antenna_distance_m);
+    return out;
+}
+
+/**
+ * The whole-trace tail of a core run: sum the active-core instances
+ * of `run` (each rotated by `stagger_s`), add idle-core leakage,
+ * resample to the PDN timestep, run PdnModel::simulate over every
+ * load sample and slice the window.
+ */
+inline platform::PlatformRunResult
+wholeTraceFinish(const platform::Platform &plat,
+                 const uarch::CoreRunResult &run, double duration_s,
+                 std::size_t active_cores, double stagger_s)
+{
+    const auto &cfg = plat.config();
+    const std::size_t powered = plat.poweredCores();
+    if (active_cores == 0)
+        active_cores = powered;
+    requireConfig(active_cores <= powered,
+                  "cannot run on more cores than are powered");
+
+    const Trace &one = run.current;
+    const auto stagger_cycles = std::max<std::size_t>(
+        1, static_cast<std::size_t>(stagger_s / one.dt()));
+    requireSim(one.size() > stagger_cycles * active_cores,
+               "core trace too short for phase-shifted summation");
+    Trace total(one.dt());
+    total.data().assign(one.size(), 0.0);
+    const double v_scale = plat.voltage() / cfg.core.v_ref;
+    for (std::size_t c = 0; c < active_cores; ++c) {
+        const std::size_t shift = c * stagger_cycles;
+        for (std::size_t k = 0; k < one.size(); ++k)
+            total[k] += one[(k + shift) % one.size()] * v_scale;
+    }
+    const double extra_idle = cfg.core.idle_current * v_scale
+        * static_cast<double>(powered - active_cores);
+    if (extra_idle > 0.0) {
+        for (std::size_t k = 0; k < total.size(); ++k)
+            total[k] += extra_idle;
+    }
+    const Trace i_load = total.resampleZeroOrderHold(platform::kPdnDt);
+
+    std::size_t settle_steps = static_cast<std::size_t>(
+        kOracleSettleTime / platform::kPdnDt);
+    if (settle_steps >= i_load.size())
+        settle_steps = 0;
+    const std::size_t want =
+        static_cast<std::size_t>(duration_s / platform::kPdnDt);
+    const std::size_t n = std::min(want, i_load.size() - settle_steps);
+    requireSim(n >= 16, "run produced too few PDN samples");
+    auto out = wholeTraceWindow(plat, i_load, nullptr, settle_steps, n);
+    out.stats = run.stats;
+    return out;
+}
+
+/**
+ * Platform::runKernel with whole traces: the core loop's current
+ * trace, then wholeTraceFinish with the kernels' launch stagger.
+ */
+inline platform::PlatformRunResult
+runKernelBatch(const platform::Platform &plat, const isa::Kernel &kernel,
+               double duration_s, std::size_t active_cores = 0)
+{
+    const uarch::CoreModel core(plat.config().core);
+    const auto run = core.runLoop(plat.pool(), kernel, plat.frequency(),
+                                  duration_s + kOracleSettleTime);
+    return wholeTraceFinish(plat, run, duration_s, active_cores,
+                            kOracleCoreStagger);
+}
+
+/**
+ * Platform::runStream with whole traces: the core's stream run, then
+ * wholeTraceFinish with the decorrelating benchmark stagger.
+ */
+inline platform::PlatformRunResult
+wholeTraceRunStream(const platform::Platform &plat,
+                    std::span<const isa::Instruction> stream,
+                    double duration_s, std::size_t active_cores = 0)
+{
+    const uarch::CoreModel core(plat.config().core);
+    const auto run = core.runStream(plat.pool(), stream, plat.frequency());
+    const double stagger_s = run.current.duration()
+        / static_cast<double>(
+            std::max<std::size_t>(2, plat.poweredCores() + 1));
+    return wholeTraceFinish(plat, run, duration_s, active_cores,
+                            stagger_s);
+}
+
+/**
+ * A constant load over the settle lead-in and `duration_s`, simulated
+ * as one trace with an optional SCL waveform; the window is every
+ * sample after the lead-in.
+ */
+inline platform::PlatformRunResult
+wholeTraceConstantLoad(const platform::Platform &plat, double current,
+                       const circuit::SourceWaveform &i_scl,
+                       double duration_s)
+{
+    const double total = duration_s + kOracleSettleTime;
+    Trace load(platform::kPdnDt);
+    const auto steps = static_cast<std::size_t>(total / platform::kPdnDt);
+    load.reserve(steps);
+    for (std::size_t i = 0; i < steps; ++i)
+        load.push(current);
+    const auto settle_steps = static_cast<std::size_t>(
+        kOracleSettleTime / platform::kPdnDt);
+    return wholeTraceWindow(plat, load, i_scl, settle_steps,
+                            steps - settle_steps);
+}
+
+/** Platform::runScl with the whole-trace PDN transient. */
+inline platform::PlatformRunResult
+wholeTraceRunScl(const platform::Platform &plat, double freq_hz,
+                 double amplitude_a, double duration_s)
+{
+    const auto &cfg = plat.config();
+    requireConfig(cfg.has_scl, cfg.name + " has no SCL injector");
+    const instruments::SyntheticCurrentLoad scl(amplitude_a);
+    return wholeTraceConstantLoad(
+        plat,
+        cfg.core.idle_current * static_cast<double>(plat.poweredCores()),
+        scl.waveform(freq_hz), duration_s);
+}
+
+/** Platform::runIdle with the whole-trace PDN transient. */
+inline platform::PlatformRunResult
+wholeTraceRunIdle(const platform::Platform &plat, double duration_s)
+{
+    const auto &cfg = plat.config();
+    return wholeTraceConstantLoad(
+        plat,
+        cfg.core.idle_current * (plat.voltage() / cfg.core.v_ref)
+            * static_cast<double>(plat.poweredCores()),
+        nullptr, duration_s);
+}
 
 /** Batch-trace twin of the three platform fitness evaluators. */
 class BatchOracleFitness : public PlatformFitness
@@ -58,8 +234,9 @@ class BatchOracleFitness : public PlatformFitness
     double
     evaluate(const isa::Kernel &kernel, ga::EvalDetail *detail) override
     {
-        const auto run = plat().runKernelBatch(
-            kernel, settings_.duration_s, settings_.active_cores);
+        const auto run = runKernelBatch(plat(), kernel,
+                                        settings_.duration_s,
+                                        settings_.active_cores);
         const std::size_t traces =
             run.v_die.size() + run.i_die.size() + run.em.size();
         if (metric_ == VirusMetric::EmAmplitude) {
@@ -125,72 +302,6 @@ class BatchOracleFitness : public PlatformFitness
 
     VirusMetric metric_;
 };
-
-/// Settle lead-in every platform run prepends and strips [s]; the
-/// platform's private constant, restated for the oracles.
-inline constexpr double kOracleSettleTime = 0.5e-6;
-
-/**
- * Platform::runStream with the whole-trace PDN transient: the core
- * run, stagger sum and resample of the platform, then
- * PdnModel::simulate over every load sample, sliced to the window.
- */
-inline platform::PlatformRunResult
-wholeTraceRunStream(const platform::Platform &plat,
-                    std::span<const isa::Instruction> stream,
-                    double duration_s, std::size_t active_cores = 0)
-{
-    const auto &cfg = plat.config();
-    const uarch::CoreModel core(cfg.core);
-    const auto run = core.runStream(plat.pool(), stream, plat.frequency());
-    const std::size_t powered = plat.poweredCores();
-    if (active_cores == 0)
-        active_cores = powered;
-    const double stagger_s = run.current.duration()
-        / static_cast<double>(std::max<std::size_t>(2, powered + 1));
-
-    const Trace &one = run.current;
-    const auto stagger_cycles = std::max<std::size_t>(
-        1, static_cast<std::size_t>(stagger_s / one.dt()));
-    Trace total(one.dt());
-    total.data().assign(one.size(), 0.0);
-    const double v_scale = plat.voltage() / cfg.core.v_ref;
-    for (std::size_t c = 0; c < active_cores; ++c) {
-        const std::size_t shift = c * stagger_cycles;
-        for (std::size_t k = 0; k < one.size(); ++k)
-            total[k] += one[(k + shift) % one.size()] * v_scale;
-    }
-    const double extra_idle = cfg.core.idle_current * v_scale
-        * static_cast<double>(powered - active_cores);
-    if (extra_idle > 0.0) {
-        for (std::size_t k = 0; k < total.size(); ++k)
-            total[k] += extra_idle;
-    }
-
-    circuit::SourceWaveform pulse;
-    if (plat.armedPulse()) {
-        const em::PulseInjector injector(*plat.armedPulse());
-        if (!injector.isNull())
-            pulse = injector.waveform(kOracleSettleTime);
-    }
-    const Trace i_load = total.resampleZeroOrderHold(platform::kPdnDt);
-    auto sim = plat.pdnModel().simulate(i_load, nullptr, pulse);
-
-    std::size_t settle_steps = static_cast<std::size_t>(
-        kOracleSettleTime / platform::kPdnDt);
-    if (settle_steps >= sim.v_die.size())
-        settle_steps = 0;
-    const std::size_t want =
-        static_cast<std::size_t>(duration_s / platform::kPdnDt);
-    const std::size_t n =
-        std::min(want, sim.v_die.size() - settle_steps);
-    platform::PlatformRunResult out{
-        sim.v_die.slice(settle_steps, n),
-        sim.i_die.slice(settle_steps, n), Trace(platform::kPdnDt),
-        run.stats};
-    out.em = plat.antenna().receive(out.i_die, cfg.antenna_distance_m);
-    return out;
-}
 
 /**
  * VminTester's ladder with every run synthesized as a waveform: the

@@ -511,7 +511,7 @@ TEST(EmMarkerPruning, GaCorpusMarkersMatchExhaustiveSearch)
         a72.setFrequency(f_clk);
         for (int i = 0; i < 4; ++i) {
             const auto kernel = isa::Kernel::random(a72.pool(), 30, rng);
-            const auto run = a72.runKernelBatch(kernel, 2e-6);
+            const auto run = runKernelBatch(a72, kernel, 2e-6);
             const std::uint64_t key = rng.bits();
             const auto want = instruments::exhaustiveBandMax(
                 sa.params(),

@@ -196,6 +196,17 @@ TEST(Pool, XmlRoundTrip)
     EXPECT_EQ(restored.memSlots(), pool.memSlots());
 }
 
+TEST(Pool, XmlEscapesMnemonics)
+{
+    // A mnemonic carrying markup characters survives the round trip.
+    InstructionPool pool(IsaFamily::ArmV8, 8, 8, 8, 4);
+    pool.addInstruction({"A&B<\"q'>", InstrClass::IntShort, 1, 1, true,
+                         RegFile::Int, 1e-10});
+    const auto restored =
+        InstructionPool::fromXmlString(pool.toXmlString());
+    EXPECT_EQ(restored.defs().at(0).mnemonic, "A&B<\"q'>");
+}
+
 TEST(Pool, XmlRejectsBadInput)
 {
     EXPECT_THROW(InstructionPool::fromXmlString("<nope/>"),
@@ -209,6 +220,63 @@ TEST(Pool, XmlRejectsBadInput)
                  ConfigError); // no instructions
     EXPECT_THROW(InstructionPool::fromXmlFile("/nonexistent.xml"),
                  ConfigError);
+}
+
+/** A one-instruction pool with one attribute overridden. */
+std::string
+poolXml(const std::string &regs_int, const std::string &latency,
+        const std::string &sources, const std::string &energy)
+{
+    return "<pool isa=\"armv8\"><registers int=\"" + regs_int
+        + "\" fp=\"8\" simd=\"8\" mem_slots=\"4\"/>"
+          "<instruction mnemonic=\"ADD\" class=\"int_short\" "
+          "latency=\"" + latency + "\" sources=\"" + sources
+        + "\" energy=\"" + energy + "\"/></pool>";
+}
+
+TEST(Pool, XmlRejectsValuesThatCannotBeCast)
+{
+    const auto load = [](const std::string &xml) {
+        return InstructionPool::fromXmlString(xml);
+    };
+    EXPECT_NO_THROW((void)load(poolXml("8", "1", "2", "2e-10")));
+    // Each of these would be an undefined double-to-integer cast, or
+    // a count the pool cannot hold.
+    for (const char *bad : {"1e300", "-1", "nan", "inf", "2.5", "4097"})
+        EXPECT_THROW((void)load(poolXml(bad, "1", "2", "1")),
+                     ConfigError)
+            << "int=" << bad;
+    for (const char *bad : {"1e300", "-1", "0", "nan", "-inf", "1.5"})
+        EXPECT_THROW((void)load(poolXml("8", bad, "2", "1")),
+                     ConfigError)
+            << "latency=" << bad;
+    for (const char *bad : {"-1", "3", "nan", "1e19"})
+        EXPECT_THROW((void)load(poolXml("8", "1", bad, "1")),
+                     ConfigError)
+            << "sources=" << bad;
+    for (const char *bad : {"nan", "inf", "-1"})
+        EXPECT_THROW((void)load(poolXml("8", "1", "2", bad)),
+                     ConfigError)
+            << "energy=" << bad;
+}
+
+TEST(Xml, NestingDepthIsBounded)
+{
+    const auto nested = [](std::size_t depth) {
+        std::string s;
+        for (std::size_t i = 0; i < depth; ++i)
+            s += "<a>";
+        for (std::size_t i = 0; i < depth; ++i)
+            s += "</a>";
+        return s;
+    };
+    EXPECT_NO_THROW((void)parseXml(nested(kMaxXmlDepth)));
+    EXPECT_THROW((void)parseXml(nested(kMaxXmlDepth + 1)), ConfigError);
+    // Far past any stack: must throw, not overflow.
+    std::string deep;
+    for (int i = 0; i < 300000; ++i)
+        deep += "<a>";
+    EXPECT_THROW((void)parseXml(deep), ConfigError);
 }
 
 TEST(Xml, ParsesNestedDocument)

@@ -259,6 +259,23 @@ TEST_F(MetricsTest, ParserRejectsMalformedInput)
         SimulationError);
 }
 
+TEST_F(MetricsTest, ParserBoundsNestingDepth)
+{
+    const auto nested = [](std::size_t depth) {
+        return "{\"x\": " + std::string(depth - 1, '[')
+            + std::string(depth - 1, ']') + "}";
+    };
+    EXPECT_NO_THROW((void)parseSnapshotJson(nested(kMaxJsonDepth)));
+    EXPECT_THROW((void)parseSnapshotJson(nested(kMaxJsonDepth + 1)),
+                 SimulationError);
+    // Far past any stack: must throw, not overflow.
+    EXPECT_THROW((void)parseSnapshotJson(std::string(300000, '[')),
+                 SimulationError);
+    EXPECT_THROW((void)parseSnapshotJson(
+                     "{\"a\": " + std::string(300000, '{')),
+                 SimulationError);
+}
+
 TEST_F(MetricsTest, EmptySnapshotRoundTrips)
 {
     const MetricsSnapshot empty;

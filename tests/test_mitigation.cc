@@ -19,6 +19,8 @@
 #include "util/stats.h"
 #include "util/units.h"
 
+#include "transient_oracle.h"
+
 namespace emstress {
 namespace mitigation {
 namespace {
@@ -67,13 +69,13 @@ TEST(TransientStepper, MatchesBatchRun)
     // Bias both paths identically at the first sample so their
     // initial trapezoidal states coincide exactly.
     const std::vector<double> bias = {load[0], 0.0};
-    auto batch = engine.run(
-        n, {wave, [](double) { return 0.0; }},
+    auto batch = circuit::runTransient(
+        engine, n, {wave, [](double) { return 0.0; }},
         {{circuit::ProbeKind::NodeVoltage, pdn.dieNode(), "",
           "v_die"}},
         bias);
 
-    auto stepper = engine.makeStepper(bias);
+    circuit::SingleStepper stepper(engine, bias);
     for (std::size_t k = 0; k < n; ++k) {
         const double t = dt * static_cast<double>(k + 1);
         const std::vector<double> cur = {wave(t), 0.0};

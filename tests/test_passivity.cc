@@ -15,6 +15,7 @@
 #include "circuit/ac.h"
 #include "circuit/netlist.h"
 #include "circuit/transient.h"
+#include "transient_oracle.h"
 #include "pdn/pdn_model.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -105,8 +106,8 @@ TEST_P(RandomLadderTest, TransientStaysBoundedAndDoesNotGrow)
 
     TransientAnalysis tr(nl, 0.25e-9);
     const double drive_end = 1e-6;
-    auto result = tr.run(
-        16000,
+    auto result = runTransient(
+        tr, 16000,
         {[drive_end](double t) {
             if (t >= drive_end)
                 return 0.0;

@@ -83,7 +83,7 @@ TEST(StreamingPlatform, RunKernelMatchesBatchOracleExactly)
     plat.setFrequency(560e6);
     const auto kernel = ResonanceExplorer::probeLoop(plat.pool());
 
-    const auto batch = plat.runKernelBatch(kernel, 2e-6);
+    const auto batch = runKernelBatch(plat, kernel, 2e-6);
     const auto stream = plat.runKernel(kernel, 2e-6);
 
     expectTracesIdentical(stream.v_die, batch.v_die);
@@ -108,7 +108,7 @@ TEST(StreamingPlatform, PulseArmedRunMatchesBatchOracleExactly)
     plat.armPulse(pulse);
     const auto kernel = ResonanceExplorer::probeLoop(plat.pool());
 
-    const auto batch = plat.runKernelBatch(kernel, 2e-6);
+    const auto batch = runKernelBatch(plat, kernel, 2e-6);
     const auto stream = plat.runKernel(kernel, 2e-6);
 
     expectTracesIdentical(stream.v_die, batch.v_die);
@@ -130,7 +130,7 @@ TEST(StreamingPlatform, ParityHoldsAcrossPlatformsAndCoreCounts)
             isa::Kernel::random(plat.pool(), 24, rng);
         for (std::size_t cores = 1; cores <= cfg.n_cores; ++cores) {
             const auto batch =
-                plat.runKernelBatch(kernel, 1.5e-6, cores);
+                runKernelBatch(plat, kernel, 1.5e-6, cores);
             const auto stream =
                 plat.runKernel(kernel, 1.5e-6, cores);
             expectTracesIdentical(stream.v_die, batch.v_die);
@@ -145,7 +145,7 @@ TEST(StreamingPlatform, ObserverFactorySeesRunGeometry)
     platform::Platform plat(platform::junoA72Config(), 3);
     const auto kernel = ResonanceExplorer::probeLoop(plat.pool());
 
-    const auto batch = plat.runKernelBatch(kernel, 2e-6);
+    const auto batch = runKernelBatch(plat, kernel, 2e-6);
     std::size_t planned = 0;
     double plan_dt = 0.0;
     TraceSink v(platform::kPdnDt);
@@ -351,7 +351,7 @@ TEST(StreamingInstruments, GoertzelBandMaxMatchesFftSweep)
         plat.setFrequency(f_clk);
         const auto kernel =
             ResonanceExplorer::probeLoop(plat.pool());
-        const auto run = plat.runKernelBatch(kernel, 2e-6);
+        const auto run = runKernelBatch(plat, kernel, 2e-6);
 
         instruments::SaBandDetector det(
             plat.analyzer().params(), run.em.size(),
@@ -390,7 +390,7 @@ TEST(StreamingInstruments, NarrowingTheBandKeepsEveryInBandReading)
     platform::Platform plat(platform::junoA72Config(), 3);
     plat.setFrequency(560e6);
     const auto kernel = ResonanceExplorer::probeLoop(plat.pool());
-    const auto run = plat.runKernelBatch(kernel, 2e-6);
+    const auto run = runKernelBatch(plat, kernel, 2e-6);
     const auto &sa = plat.analyzer();
     const std::uint64_t key = 0xba4dull;
     const auto full = sa.sweep(run.em, key, 0);
@@ -515,7 +515,7 @@ TEST(StreamingInstruments, ScopeCaptureSinkMatchesBatchCapture)
     platform::Platform plat(platform::junoA72Config(), 3);
     plat.setFrequency(560e6);
     const auto kernel = ResonanceExplorer::probeLoop(plat.pool());
-    const auto run = plat.runKernelBatch(kernel, 2e-6);
+    const auto run = runKernelBatch(plat, kernel, 2e-6);
 
     Rng noise_batch(41), noise_stream(41);
     const Trace batch = plat.scope().capture(run.v_die, noise_batch);
@@ -562,7 +562,7 @@ TEST(StreamingFitness, EmAmplitudeAgreesWithBatchWithinMicroDb)
         // The streaming path buffers the one antenna window it
         // transforms; the batch path holds three whole traces.
         const std::size_t n =
-            plat.runKernelBatch(k, fastEval().duration_s).em.size();
+            runKernelBatch(plat, k, fastEval().duration_s).em.size();
         EXPECT_EQ(ds.samples_materialized, n);
         EXPECT_LT(ds.samples_materialized, db.samples_materialized);
     }
@@ -812,6 +812,36 @@ TEST(SampleSinkProperties, ZohResampleSinkMatchesBatchOnRandomShapes)
                          << " new_dt=" << new_dt);
             expectTracesIdentical(out.trace(), batch);
         }
+    }
+}
+
+TEST(SampleSinkProperties, ZohResampleSinkLimitEmitsAPrefix)
+{
+    // A cut stream is the first `limit` samples of the uncut one, and
+    // every input past inputsRead() is consumed without effect.
+    Rng rng(9002);
+    for (int iter = 0; iter < 100; ++iter) {
+        const std::size_t n = 1 + drawLength(rng);
+        const double dt_in = rng.uniform(0.1e-9, 4e-9);
+        const double new_dt = rng.uniform(0.05e-9, 6e-9);
+        const Trace input = randomTrace(rng, n, dt_in);
+        const Trace batch = input.resampleZeroOrderHold(new_dt);
+        const auto limit = static_cast<std::size_t>(
+            rng.uniformInt(0, static_cast<int>(batch.size()) + 2));
+
+        TraceSink out(new_dt);
+        ZohResampleSink zoh(out, n, dt_in, new_dt, limit);
+        const std::size_t read = zoh.inputsRead();
+        ASSERT_LE(read, n);
+        // Inputs past inputsRead() may hold anything.
+        for (std::size_t i = 0; i < n; ++i)
+            zoh.push(i < read ? input[i] : -1e300);
+        zoh.finish();
+        const std::size_t want = std::min(limit, batch.size());
+        ASSERT_EQ(out.trace().size(), want) << "iteration " << iter;
+        for (std::size_t j = 0; j < want; ++j)
+            ASSERT_EQ(out.trace()[j], batch[j])
+                << "iteration " << iter << " sample " << j;
     }
 }
 

@@ -149,7 +149,7 @@ expectParity(const Netlist &nl, double dt, std::size_t steps)
     std::vector<double> currents(n_src);
     for (std::size_t j = 0; j < n_src; ++j)
         currents[j] = sourceValue(j, 0);
-    TransientStepper ps = tr.makeStepper(currents);
+    SingleStepper ps(tr, currents);
     TransientOracle oracle(nl, dt, currents);
     std::vector<std::size_t> all(n);
     for (std::size_t i = 0; i < n; ++i)
@@ -296,7 +296,7 @@ TEST(TransientParity, FastPathStaysBoundedAtStiffDt)
     const TransientAnalysis tr(model.netlist(), 1e-10);
     const std::array<double, 2> on = {1.0, 0.0};
     const std::array<double, 2> off = {0.0, 0.0};
-    TransientStepper s = tr.makeStepper(on);
+    SingleStepper s(tr, on);
     const std::size_t n = tr.mna().size();
     double max_abs = 0.0;
     for (std::size_t step = 1; step <= 200000; ++step) {
@@ -320,8 +320,8 @@ TEST(TransientParity, FastPathIsBitIdenticalRunToRun)
                                                  t * 1e10 + 0.5)); }};
     const std::vector<Probe> probes = {
         {ProbeKind::NodeVoltage, 2, "", "v"}};
-    const auto a = tr.run(5000, waves, probes);
-    const auto b = tr.run(5000, waves, probes);
+    const auto a = runTransient(tr, 5000, waves, probes);
+    const auto b = runTransient(tr, 5000, waves, probes);
     for (std::size_t i = 0; i < a.trace("v").size(); ++i)
         ASSERT_EQ(a.trace("v")[i], b.trace("v")[i]) << i;
 }
@@ -421,8 +421,9 @@ expectStepperReplaysRun(bool reference, bool with_bias)
     const std::vector<Probe> probes = {
         {ProbeKind::NodeVoltage, probe_node, "", "v"}};
     const std::array<double, 1> bias = {0.37};
-    const auto batch = with_bias ? tr.run(steps, waves, probes, bias)
-                                 : tr.run(steps, waves, probes);
+    const auto batch = with_bias
+        ? runTransient(tr, steps, waves, probes, bias)
+        : runTransient(tr, steps, waves, probes);
     const auto &vt = batch.trace("v");
     double scale = 0.0;
     for (std::size_t i = 0; i < vt.size(); ++i)
@@ -433,7 +434,7 @@ expectStepperReplaysRun(bool reference, bool with_bias)
     const std::array<double, 1> w0 = {sourceValue(0, 0)};
     const std::span<const double> start =
         with_bias ? std::span<const double>(bias) : w0;
-    TransientStepper stepper = tr.makeStepper(start);
+    SingleStepper stepper(tr, start);
     TransientOracle oracle(nl, dt, start);
     const std::size_t idx = tr.mna().stateIndexOfNode(probe_node);
     std::array<double, 1> currents{};
@@ -499,7 +500,7 @@ TEST(TransientBlockStepper, ReplaysRunBitExactly)
     const std::vector<Probe> probes = {
         {ProbeKind::NodeVoltage, probe_node, "", "v"}};
     const std::array<double, 1> bias = {0.37};
-    const auto batch = tr.run(steps, waves, probes, bias);
+    const auto batch = runTransient(tr, steps, waves, probes, bias);
     const auto &vt = batch.trace("v");
 
     const std::array<std::size_t, 1> probe_idx = {
@@ -542,7 +543,7 @@ TEST(TransientBlockStepper, AgreesWithPerStepStepperOnMixedBlocks)
         tr.mna().stateIndexOfNode(model.dieNode()),
         tr.mna().stateIndexOfBranch("l_pkg_die")};
     TransientBlockStepper bs = tr.makeBlockStepper(bias, probe_idx);
-    TransientStepper ps = tr.makeStepper(bias);
+    SingleStepper ps(tr, bias);
 
     // Deterministic irregular partition cycling through every
     // possible tail length, full blocks interleaved.
@@ -599,7 +600,7 @@ TEST(TransientCounters, RunReportsActivePathTruthfully)
     auto &reg = metrics::Registry::instance();
     reg.reset();
     const TransientAnalysis tr(nl, 1e-10);
-    (void)tr.run(500, waves, {});
+    (void)runTransient(tr, 500, waves, {});
     const auto snap = reg.snapshot();
     EXPECT_EQ(counter(snap, "circuit.transient.steps"), 500u);
     EXPECT_EQ(counter(snap, "circuit.transient.state_updates"), 500u);
@@ -619,7 +620,7 @@ TEST(TransientCounters, StepperFlushesOwnStepsIdempotently)
     reg.reset();
     const TransientAnalysis tr(nl, 1e-10);
     {
-        TransientStepper s = tr.makeStepper(currents);
+        SingleStepper s(tr, currents);
         for (int i = 0; i < 7; ++i)
             s.step(currents);
         s.flushMetrics();

@@ -2,15 +2,20 @@
  * @file
  * Seeded mutation fuzzer for every decoder that reads untrusted
  * bytes: the record bodies, framed messages (length, type byte via
- * msgTypeFromWire, body) and the artifact store's spill-directory
- * scan over mutated `.artifact`/`.meta` pairs.
+ * msgTypeFromWire, body), the artifact store's spill-directory scan
+ * over mutated `.artifact`/`.meta` pairs, and the two text parsers:
+ * instruction-pool XML (InstructionPool::fromXmlString) and metrics
+ * snapshot JSON (metrics::parseSnapshotJson).
  *
  * Mutations are bit flips, truncation, extension and splices of
  * large values over 4- or 8-byte fields (where the length and count
- * prefixes live). Properties, per mutated input:
+ * prefixes live); text inputs also get splices of numbers the casts
+ * and counts cannot hold, markup and runs of open brackets or tags.
+ * Properties, per mutated input:
  *   - no crash or undefined behavior (run it under the asan preset);
- *   - a decode either throws ProtocolError / ConfigError, or yields
- *     a value whose re-encoding decodes back to the same bytes;
+ *   - a decode either throws ProtocolError / ConfigError (the
+ *     metrics parser: SimulationError), or yields a value whose
+ *     re-encoding decodes back to the same bytes;
  *   - valid inputs round-trip bit-exactly.
  *
  * Iterations are bounded and seeded, so a failure reproduces. ctest
@@ -37,6 +42,7 @@
 #include "service/job.h"
 #include "service/wire.h"
 #include "util/error.h"
+#include "util/metrics.h"
 #include "util/rng.h"
 
 namespace emstress {
@@ -481,6 +487,108 @@ TEST(WireFuzz, SpillDirectoryScan)
     }
     EXPECT_GT(served, 0);
     fs::remove_all(dir);
+}
+
+/** mutate() over text, or splices of tokens the text parsers treat
+ * specially, each sometimes repeated into a deep run. */
+std::string
+mutateText(const std::string &text, Rng &rng)
+{
+    static const char *const kTokens[] = {
+        "1e300", "-1", "nan", "-inf", "2.5", "4097", "0",
+        "18446744073709551616", "<a>", "</a>", "<!--", "\"", "'",
+        "&amp;", "&lt;", "&bogus;", "[", "{", "]", "}", ",", ":",
+    };
+    if (rng.uniformInt(0, 1) == 0) {
+        const Bytes b = mutate(Bytes(text.begin(), text.end()), rng);
+        return std::string(b.begin(), b.end());
+    }
+    std::string s = text;
+    for (int k = rng.uniformInt(1, 3); k > 0; --k) {
+        const std::string one = kTokens[rng.uniformInt(
+            0, static_cast<int>(std::size(kTokens)) - 1)];
+        std::string tok = one;
+        if (rng.uniformInt(0, 3) == 0)
+            for (int r = rng.uniformInt(1, 200); r > 0; --r)
+                tok += one;
+        // Half the splices land just inside a quoted value (an
+        // attribute, a key), where the parsers convert or unescape.
+        auto at = static_cast<std::size_t>(
+            rng.uniformInt(0, static_cast<int>(s.size())));
+        const auto quote = s.find('"', at);
+        if (rng.uniformInt(0, 1) == 0 && quote != std::string::npos)
+            at = quote + 1;
+        if (rng.uniformInt(0, 1) == 0)
+            s.insert(at, tok);
+        else
+            s.replace(at, tok.size(), tok);
+    }
+    return s;
+}
+
+/**
+ * Fuzz a text parser from a valid seed: `reencode` parses and
+ * serializes again, throwing `Error` on rejected input; what parses
+ * must serialize to a fixed point of parse-then-serialize.
+ */
+template <class Error>
+void
+fuzzText(const std::function<std::string(const std::string &)> &reencode,
+         const std::string &seed_text, std::uint64_t seed, int iterations)
+{
+    const std::string canonical = reencode(seed_text);
+    ASSERT_EQ(reencode(canonical), canonical);
+    Rng rng(seed);
+    int parsed = 0;
+    for (int i = 0; i < iterations; ++i) {
+        std::string again;
+        try {
+            again = reencode(mutateText(canonical, rng));
+        } catch (const Error &) {
+            continue;
+        }
+        ++parsed;
+        EXPECT_EQ(reencode(again), again);
+    }
+    EXPECT_GT(parsed, 0);
+    EXPECT_LT(parsed, iterations);
+}
+
+TEST(TextFuzz, InstructionPoolXml)
+{
+    const auto reencode = [](const std::string &xml) {
+        return isa::InstructionPool::fromXmlString(xml).toXmlString();
+    };
+    fuzzText<ConfigError>(reencode,
+                          isa::InstructionPool::armV8().toXmlString(), 21,
+                          3000);
+    fuzzText<ConfigError>(reencode,
+                          isa::InstructionPool::x86Sse2().toXmlString(),
+                          22, 3000);
+}
+
+TEST(TextFuzz, MetricsSnapshotJson)
+{
+    const bool was_enabled = metrics::enabled();
+    metrics::setEnabled(true);
+    auto &reg = metrics::Registry::instance();
+    reg.reset();
+    reg.add("fuzz.counter", 12345);
+    reg.add("fuzz.\"quoted\"\tname");
+    reg.setGauge("fuzz.gauge", -0.125);
+    reg.setGauge("fuzz.tiny", 3.0e-300);
+    reg.recordPhase("fuzz.phase", 0.5, 0.25);
+    reg.recordLatency("fuzz.latency", 2e-3);
+    reg.recordLatency("fuzz.latency", 7.0);
+    const std::string seed_text = metrics::toJson(reg.snapshot());
+    reg.reset();
+    metrics::setEnabled(was_enabled);
+
+    fuzzText<SimulationError>(
+        [](const std::string &json) {
+            return metrics::toJson(metrics::parseSnapshotJson(json));
+        },
+        seed_text, 23, 3000);
 }
 
 } // namespace

@@ -2,9 +2,10 @@
  * @file
  * Long-double reference replay of the transient engine's
  * discretization, the oracle tests/test_transient_parity.cc checks
- * the fast path against.
+ * the fast path against, plus the engine's whole-trace and single-step
+ * execution forms the tests drive it in (runTransient, SingleStepper).
  *
- * It integrates the same trapezoidal rule on the storage state, but
+ * TransientOracle integrates the same trapezoidal rule on the storage state, but
  * over the full MNA system in the companion-model form circuit
  * simulators use, one linear solve per step:
  *
@@ -27,12 +28,16 @@
 #include <cstddef>
 #include <optional>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "circuit/linalg.h"
 #include "circuit/mna.h"
 #include "circuit/netlist.h"
+#include "circuit/transient.h"
+#include "util/error.h"
+#include "util/trace.h"
 
 namespace emstress {
 namespace circuit {
@@ -132,6 +137,155 @@ class TransientOracle
     std::optional<LuSolver<long double>> lu_; ///< The step matrix.
     std::vector<long double> x_;
     std::vector<long double> q_;
+};
+
+/** What a probe observes. */
+enum class ProbeKind
+{
+    NodeVoltage,   ///< Voltage of a node versus ground.
+    BranchCurrent, ///< Current through an inductor or voltage source.
+};
+
+/** A named observation point recorded by runTransient. */
+struct Probe
+{
+    ProbeKind kind;
+    /// Node id (NodeVoltage) — unused for BranchCurrent.
+    NodeId node = kGround;
+    /// Element name (BranchCurrent) — unused for NodeVoltage.
+    std::string element;
+    /// Label under which the waveform is returned.
+    std::string label;
+};
+
+/** Result of runTransient: one Trace per probe, in probe order. */
+struct TransientResult
+{
+    std::vector<std::string> labels;
+    std::vector<Trace> waveforms;
+
+    /** Waveform lookup by probe label. @throws ConfigError if absent. */
+    const Trace &
+    trace(const std::string &label) const
+    {
+        for (std::size_t i = 0; i < labels.size(); ++i)
+            if (labels[i] == label)
+                return waveforms[i];
+        throw ConfigError("no transient probe labelled " + label);
+    }
+};
+
+/**
+ * Whole-trace transient run over `engine`: every source a waveform
+ * evaluated at the step time `dt * step`, steps 1..`steps` executed
+ * as full kStreamBlock blocks from step 1 with the remainder as one
+ * tail. That is the partition PdnStreamSink drives, so a stream of
+ * the same inputs replays it bit for bit.
+ *
+ * @param bias_currents Current-source values the circuit sat at
+ *        before t = 0 (its DC operating point and the first step's
+ *        history); empty means the waveforms' t = 0 values.
+ */
+inline TransientResult
+runTransient(const TransientAnalysis &engine, std::size_t steps,
+             const std::vector<SourceWaveform> &waveforms,
+             const std::vector<Probe> &probes,
+             std::span<const double> bias_currents = {})
+{
+    const MnaSystem &mna = engine.mna();
+    const std::size_t n_src = mna.currentSourceNames().size();
+    requireConfig(waveforms.size() == n_src,
+                  "transient run needs one waveform per current source");
+    std::vector<std::size_t> probe_idx;
+    TransientResult result;
+    for (const auto &p : probes) {
+        probe_idx.push_back(p.kind == ProbeKind::NodeVoltage
+                                ? mna.stateIndexOfNode(p.node)
+                                : mna.stateIndexOfBranch(p.element));
+        result.labels.push_back(p.label);
+        Trace t(engine.dt());
+        t.reserve(steps);
+        result.waveforms.push_back(std::move(t));
+    }
+
+    std::vector<double> src_vals(n_src);
+    const auto eval_sources = [&](double t) {
+        for (std::size_t k = 0; k < n_src; ++k)
+            src_vals[k] = waveforms[k](t);
+    };
+    eval_sources(0.0);
+    const std::span<const double> bias = bias_currents.empty()
+        ? std::span<const double>(src_vals)
+        : bias_currents;
+
+    const std::size_t np = probe_idx.size();
+    TransientBlockStepper bs = engine.makeBlockStepper(bias, probe_idx);
+    std::vector<double> in(kStreamBlock * n_src);
+    std::vector<double> out(kStreamBlock * np);
+    for (std::size_t step = 1; step <= steps;) {
+        const std::size_t count =
+            std::min(kStreamBlock, steps - step + 1);
+        for (std::size_t c = 0; c < count; ++c) {
+            eval_sources(engine.dt() * static_cast<double>(step + c));
+            std::copy(src_vals.begin(), src_vals.end(),
+                      in.begin()
+                          + static_cast<std::ptrdiff_t>(c * n_src));
+        }
+        bs.stepBlock(in.data(), count, out.data());
+        for (std::size_t c = 0; c < count; ++c)
+            for (std::size_t p = 0; p < np; ++p)
+                result.waveforms[p].push(out[c * np + p]);
+        step += count;
+    }
+    return result;
+}
+
+/**
+ * A TransientBlockStepper advanced one step per call and probing every
+ * MNA unknown: the single-step form of the engine, as a closed loop
+ * drives it.
+ */
+class SingleStepper
+{
+  public:
+    SingleStepper(const TransientAnalysis &engine,
+                  std::span<const double> bias_currents)
+        : n_src_(engine.mna().currentSourceNames().size()),
+          values_(engine.mna().size()),
+          block_(engine.makeBlockStepper(bias_currents,
+                                         allUnknowns(values_.size())))
+    {
+    }
+
+    /** Advance one step with the given current-source values. */
+    void
+    step(std::span<const double> currents)
+    {
+        requireSim(currents.size() == n_src_,
+                   "stepper: wrong number of current-source values");
+        block_.stepBlock(currents.data(), 1, values_.data());
+    }
+
+    /** MNA unknown by index after the last step. */
+    double value(std::size_t index) const { return values_.at(index); }
+
+    double time() const { return block_.time(); }
+    std::size_t stepsTaken() const { return block_.stepsTaken(); }
+    void flushMetrics() { block_.flushMetrics(); }
+
+  private:
+    static std::vector<std::size_t>
+    allUnknowns(std::size_t n)
+    {
+        std::vector<std::size_t> all(n);
+        for (std::size_t i = 0; i < n; ++i)
+            all[i] = i;
+        return all;
+    }
+
+    std::size_t n_src_;
+    std::vector<double> values_;
+    TransientBlockStepper block_;
 };
 
 } // namespace circuit
