@@ -174,8 +174,6 @@ peakRssMib()
  * growth of the process peak RSS across the bench — the streamed
  * measurement should buffer only the antenna window its detector
  * transforms and leave the high-water mark where it found it.
- * BM_PlatformRunKernelBatch times the batch-trace oracle the tests
- * compare it against.
  */
 void
 BM_FullEmFitnessEvaluation(benchmark::State &state)

@@ -11,6 +11,8 @@
 
 #include "isa/pool.h"
 
+#include <array>
+#include <charconv>
 #include <cmath>
 #include <fstream>
 #include <sstream>
@@ -315,6 +317,19 @@ InstructionPool::fromXmlFile(const std::string &path)
     return fromXmlString(buf.str());
 }
 
+namespace {
+
+/** The shortest text that reads back as exactly `v`. */
+std::string
+exactNumber(double v)
+{
+    std::array<char, 32> buf{};
+    const auto res = std::to_chars(buf.data(), buf.data() + buf.size(), v);
+    return std::string(buf.data(), res.ptr);
+}
+
+} // namespace
+
 std::string
 InstructionPool::toXmlString() const
 {
@@ -332,7 +347,7 @@ InstructionPool::toXmlString() const
            << "\" class=\"" << instrClassName(d.cls) << "\" latency=\""
            << d.latency << "\" sources=\"" << d.sources << "\" dest=\""
            << (d.has_dest ? "true" : "false") << "\" regfile=\"" << rf
-           << "\" energy=\"" << d.energy << "\"/>\n";
+           << "\" energy=\"" << exactNumber(d.energy) << "\"/>\n";
     }
     os << "</pool>\n";
     return os.str();

@@ -276,9 +276,8 @@ class PdnModel
      * @param dt        Load-sample timestep [s] (selects the cached
      *                  engine).
      * @param mean_load Mean of the full load trace [A]; the circuit
-     *                  starts at the DC point under it. Callers stream
-     *                  the load twice: once through a MeanSink, then
-     *                  through this sink.
+     *                  starts at the DC point under it. Callers sum
+     *                  the load first, then push it into this sink.
      * @param v_die_out Downstream sink for the die voltage (may be
      *                  null to skip the probe).
      * @param i_die_out Downstream sink for the package-die inductor

@@ -75,95 +75,35 @@ scopeParamsFor(const PlatformConfig &cfg)
 }
 
 /**
- * Streaming multi-core summation: the rotation sum
+ * PDN sample j of a core-rate load `one` sampled every `dt`: the
+ * cycle Trace::resampleZeroOrderHold holds at step j, summed over
+ * `cores` instances each `stagger` cycles further along (wrapping),
+ * scaled by v_scale, plus idle-core leakage. This is the whole-trace
+ * rotation sum
  *
  *     total[k] = sum_c one[(k + c*stagger) % N] * v_scale  (+ idle)
  *
- * of N core-rate samples, computed while holding only the first
- * (cores-1)*stagger samples (the wrapped tail terms re-read the
- * stream's head) and a ring of the most recent (cores-1)*stagger + 1
- * samples. Output k is emitted once input k + (cores-1)*stagger has
- * arrived; the final (cores-1)*stagger outputs flush in finish().
- * Only the first `limit` outputs are computed.
+ * resampled, term by term in its order.
  */
-class StaggerSumSink final : public SampleSink
+double
+staggerSum(std::span<const double> one, double dt, std::size_t j,
+           std::size_t stagger, std::size_t cores, double v_scale,
+           double extra_idle)
 {
-  public:
-    StaggerSumSink(SampleSink &downstream, std::size_t n_in,
-                   std::size_t stagger_cycles, std::size_t cores,
-                   double v_scale, double extra_idle, std::size_t limit)
-        : downstream_(downstream), n_in_(n_in), st_(stagger_cycles),
-          cores_(cores), v_scale_(v_scale), extra_idle_(extra_idle),
-          limit_(std::min(limit, n_in)),
-          max_shift_(stagger_cycles * (cores - 1)),
-          ring_(max_shift_ + 1, 0.0)
-    {
-        requireSim(n_in > stagger_cycles * cores,
-                   "core trace too short for phase-shifted summation");
-        head_.reserve(max_shift_);
+    const double t = kPdnDt * static_cast<double>(j);
+    auto src = static_cast<std::size_t>(t / dt);
+    if (src >= one.size())
+        src = one.size() - 1;
+    double total = 0.0;
+    for (std::size_t c = 0; c < cores; ++c) {
+        total += one[src] * v_scale;
+        if ((src += stagger) >= one.size())
+            src -= one.size();
     }
-
-    void
-    push(double v) override
-    {
-        if (head_.size() < max_shift_)
-            head_.push_back(v);
-        ring_[slot_] = v;
-        // The ring holds max_shift + 1 samples, so the slot after
-        // input `seen` is the one of output seen - max_shift.
-        if (++slot_ == ring_.size())
-            slot_ = 0;
-        if (seen_ >= max_shift_ && seen_ - max_shift_ < limit_)
-            emit(seen_ - max_shift_, slot_);
-        ++seen_;
-    }
-
-    void
-    finish() override
-    {
-        requireSim(seen_ == n_in_,
-                   "stagger sum expected the full core stream");
-        std::size_t slot = slot_ + 1 == ring_.size() ? 0 : slot_ + 1;
-        for (std::size_t k = n_in_ - max_shift_; k < limit_; ++k) {
-            emit(k, slot);
-            if (++slot == ring_.size())
-                slot = 0;
-        }
-        downstream_.finish();
-    }
-
-  private:
-    /** Output k, whose first term sits in ring slot `slot`. */
-    void
-    emit(std::size_t k, std::size_t slot)
-    {
-        double total = 0.0;
-        for (std::size_t c = 0; c < cores_; ++c) {
-            if (c > 0 && (slot += st_) >= ring_.size())
-                slot -= ring_.size();
-            const std::size_t raw = k + c * st_;
-            const double sample =
-                raw < n_in_ ? ring_[slot] : head_[raw - n_in_];
-            total += sample * v_scale_;
-        }
-        if (extra_idle_ > 0.0)
-            total += extra_idle_;
-        downstream_.push(total);
-    }
-
-    SampleSink &downstream_;
-    std::size_t n_in_;
-    std::size_t st_;
-    std::size_t cores_;
-    double v_scale_;
-    double extra_idle_;
-    std::size_t limit_;
-    std::size_t max_shift_;
-    std::vector<double> ring_;
-    std::vector<double> head_;
-    std::size_t slot_ = 0; ///< Ring slot of the next input.
-    std::size_t seen_ = 0;
-};
+    if (extra_idle > 0.0)
+        total += extra_idle;
+    return total;
+}
 
 /** Trace-collecting observers for the runs that return waveforms. */
 struct TraceObservers
@@ -395,15 +335,14 @@ Platform::setPoweredCores(std::size_t cores)
 }
 
 /**
- * A run's load current, played once per pipeline pass. A core-rate
- * load is one core's current per cycle, which the pipeline sums over
- * the active cores and resamples to the PDN timestep; a PDN-rate load
- * feeds the PDN as it is.
+ * A run's load current. A core-rate load is one core's current per
+ * cycle, which the pipeline sums over the active cores and resamples
+ * to the PDN timestep; a PDN-rate load feeds the PDN as it is.
  */
 struct Platform::LoadSource
 {
-    std::size_t n = 0;  ///< Samples play() pushes.
-    double dt = kPdnDt; ///< Their interval [s].
+    std::span<const double> samples; ///< The whole load.
+    double dt = kPdnDt; ///< Sample interval [s].
     bool core_rate = false; ///< Summed over cores and resampled.
     /// Core-rate loads: start stagger between instances [samples].
     std::size_t stagger = 1;
@@ -413,9 +352,6 @@ struct Platform::LoadSource
     /// lead-in, clipped to what the load covers. A PDN-rate load is
     /// observed to its end.
     std::size_t window = 0;
-    /// Push the n samples, then finish(). `replay` is set on pass B,
-    /// which must push the same samples as pass A.
-    std::function<void(SampleSink &sink, bool replay)> play;
 };
 
 std::size_t
@@ -433,13 +369,23 @@ Platform::pipeline(const LoadSource &load,
     // Powered but inactive cores draw leakage.
     const double extra_idle = config_.core.idle_current * v_scale
         * static_cast<double>(powered - active);
+    const std::span<const double> one = load.samples;
+    if (load.core_rate)
+        requireSim(one.size() > load.stagger * active,
+                   "core trace too short for phase-shifted summation");
+    // The load at the PDN timestep.
+    const auto at = [&](std::size_t j) {
+        return load.core_rate ? staggerSum(one, load.dt, j, load.stagger,
+                                           active, v_scale, extra_idle)
+                              : one[j];
+    };
 
     // The window: the settle lead-in is stripped, and output k is
     // transient step k + 1.
     const std::size_t n_pdn = load.core_rate
-        ? Trace::outputLengthFor(load.dt * static_cast<double>(load.n),
-                                 kPdnDt)
-        : load.n;
+        ? Trace::outputLengthFor(
+              load.dt * static_cast<double>(one.size()), kPdnDt)
+        : one.size();
     std::size_t settle_steps =
         static_cast<std::size_t>(kSettleTime / kPdnDt);
     if (settle_steps >= n_pdn)
@@ -456,28 +402,17 @@ Platform::pipeline(const LoadSource &load,
     // tail block of its own, past the window. A tail block rounds
     // differently from a full one, so an unaligned cut would move
     // bits. The DC bias stays the mean of the whole load. Only a
-    // core-rate load runs past its window; the ZOH cuts it.
+    // core-rate load runs past its window.
     constexpr std::size_t kBlock = circuit::kStreamBlock;
     const std::size_t last_step =
         (settle_steps + n + kBlock - 1) / kBlock * kBlock;
     const std::size_t keep = std::min(n_pdn, last_step + 1);
 
-    // Feeds `sink` the load at the PDN timestep, a core-rate load cut
-    // after `limit` samples.
-    const auto feed = [&](SampleSink &sink, std::size_t limit,
-                          bool replay) {
-        if (!load.core_rate) {
-            load.play(sink, replay);
-            return;
-        }
-        ZohResampleSink zoh(sink, load.n, load.dt, kPdnDt, limit);
-        StaggerSumSink sum(zoh, load.n, load.stagger, active, v_scale,
-                           extra_idle, zoh.inputsRead());
-        load.play(sum, replay);
-    };
-
-    MeanSink mean;
-    feed(mean, n_pdn, false);
+    // Pass A: the mean load, summed front to back.
+    double sum = 0.0;
+    for (std::size_t j = 0; j < n_pdn; ++j)
+        sum += at(j);
+    const double mean = sum / static_cast<double>(n_pdn);
 
     const StreamObservers obs = make_observers(n);
     if (obs.v_die == nullptr && obs.i_die == nullptr
@@ -514,11 +449,13 @@ Platform::pipeline(const LoadSource &load,
         i_tap = &*em_slice;
     }
 
+    // Pass B: the PDN, biased at the mean, into the observers.
     pdn::PdnStreamSink pdn_sink =
-        pdn_->streamSim(kPdnDt, mean.mean(),
-                        v_slice ? &*v_slice : nullptr, i_tap,
-                        pulseWave(), i_scl);
-    feed(pdn_sink, keep, true);
+        pdn_->streamSim(kPdnDt, mean, v_slice ? &*v_slice : nullptr,
+                        i_tap, pulseWave(), i_scl);
+    for (std::size_t j = 0; j < keep; ++j)
+        pdn_sink.push(at(j));
+    pdn_sink.finish();
     metrics::Registry::instance().add("pdn.stream.samples",
                                       pdn_sink.emitted());
     return keep;
@@ -547,40 +484,27 @@ Platform::streamKernel(const isa::Kernel &kernel, double duration_s,
     metrics::ScopedPhase stream_span("platform.stream");
     metrics::Registry::instance().add("platform.stream.runs");
 
-    // The loop emits one current sample per simulated cycle. Pass A
-    // runs the core and records a bounded prefix+period replay, so
-    // pass B does not have to simulate the core again.
-    const double total_s = duration_s + kSettleTime;
-    const double cycle_dt = 1.0 / f_clk_;
-    uarch::KernelRunStats stats;
-    uarch::LoopRecording rec;
+    // The loop's current, one sample per simulated cycle.
+    const auto run =
+        core_.runLoop(pool_, kernel, f_clk_, duration_s + kSettleTime);
     LoadSource load;
-    load.n = uarch::CoreModel::loopEmitCount(f_clk_, total_s);
-    load.dt = cycle_dt;
+    load.samples = run.current.samples();
+    load.dt = run.current.dt();
     load.core_rate = true;
     // Identical resonant loops on the shared PDN effectively
     // phase-lock (voltage-delay entrainment), so kernel instances
     // sum near-coherently: a small launch stagger only.
     load.stagger = std::max<std::size_t>(
-        1, static_cast<std::size_t>(kCorePhaseStagger / cycle_dt));
+        1, static_cast<std::size_t>(kCorePhaseStagger / load.dt));
     load.active_cores = active_cores;
     load.window = static_cast<std::size_t>(duration_s / kPdnDt);
-    load.play = [&](SampleSink &sink, bool replay) {
-        if (!replay)
-            stats = core_.runLoopInto(pool_, kernel, f_clk_, total_s,
-                                      sink, &rec);
-        else if (rec.complete())
-            rec.emitInto(sink);
-        else
-            core_.runLoopInto(pool_, kernel, f_clk_, total_s, sink);
-    };
 
     pipeline(load, nullptr, [&](std::size_t n) {
                  metrics::Registry::instance().add(
                      "platform.stream.samples", n);
-                 return make_observers(StreamPlan{stats, n, kPdnDt});
+                 return make_observers(StreamPlan{run.stats, n, kPdnDt});
              });
-    return stats;
+    return run.stats;
 }
 
 PlatformRunResult
@@ -601,18 +525,13 @@ Platform::runStream(std::span<const isa::Instruction> stream,
         / static_cast<double>(std::max<std::size_t>(
             2, pdn_->poweredCores() + 1));
     LoadSource load;
-    load.n = one.size();
+    load.samples = one.samples();
     load.dt = one.dt();
     load.core_rate = true;
     load.stagger = std::max<std::size_t>(
         1, static_cast<std::size_t>(decorrelate / one.dt()));
     load.active_cores = active_cores;
     load.window = static_cast<std::size_t>(duration_s / kPdnDt);
-    load.play = [&one](SampleSink &sink, bool) {
-        for (const double v : one.samples())
-            sink.push(v);
-        sink.finish();
-    };
 
     TraceObservers traces;
     const std::size_t steps = pipeline(
@@ -626,13 +545,11 @@ PlatformRunResult
 Platform::runConstantLoad(double current, double duration_s,
                           const circuit::SourceWaveform &i_scl) const
 {
+    const std::vector<double> samples(
+        static_cast<std::size_t>((duration_s + kSettleTime) / kPdnDt),
+        current);
     LoadSource load;
-    load.n = static_cast<std::size_t>((duration_s + kSettleTime) / kPdnDt);
-    load.play = [current, n = load.n](SampleSink &sink, bool) {
-        for (std::size_t i = 0; i < n; ++i)
-            sink.push(current);
-        sink.finish();
-    };
+    load.samples = samples;
     TraceObservers traces;
     pipeline(load, i_scl,
              [&](std::size_t n) { return traces.reserve(n); });

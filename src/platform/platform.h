@@ -226,26 +226,25 @@ class Platform
                                 std::size_t active_cores = 0) const;
 
     /**
-     * Streaming kernel run: drive the whole core → stagger-sum → ZOH
-     * → PDN → antenna pipeline one sample at a time into caller
-     * observers, never materializing a waveform (O(1) memory in
-     * duration). Sample values are bit-identical to the whole-trace
-     * oracle in tests/batch_oracle.h.
+     * Streaming kernel run: simulate one core's loop once, then drive
+     * the stagger-sum → ZOH → PDN → antenna pipeline one PDN sample
+     * at a time into caller observers. Only the core's per-cycle
+     * current is held (one sample per cycle of the run); no PDN-rate
+     * waveform is materialized. Sample values are bit-identical to
+     * the whole-trace oracle in tests/batch_oracle.h.
      *
-     * The run happens in two passes over the core simulation: pass A
-     * accumulates the mean PDN load (the PDN starts at the DC point
-     * under the mean of the full load trace, which a single streaming
-     * pass cannot know up front), pass B replays the identical
-     * simulation through the PDN stepper into the observers. The
-     * factory is invoked between the passes with the run's plan, so
-     * observers can be sized exactly and choose bands from the
-     * measured loop statistics.
+     * The pipeline makes two passes over the core current: pass A
+     * sums the mean PDN load (the PDN starts at the DC point under
+     * the mean of the full load), pass B steps the PDN into the
+     * observers. The factory is invoked between the passes with the
+     * run's plan, so observers can be sized exactly and choose bands
+     * from the measured loop statistics.
      *
      * Unwind contract (fault injection relies on this): an observer
      * may throw from push() mid-stream — e.g. a TruncatingSink
      * modeling a dropped sample stream — and the exception
      * propagates out of streamKernel leaving the platform in its
-     * pre-call state. All per-run simulation state (core replay,
+     * pre-call state. All per-run simulation state (core current,
      * PDN stepper, antenna coupling) lives in locals destroyed
      * during unwinding; the only member caches touched are
      * geometry-keyed and value-deterministic, so an aborted run
@@ -297,13 +296,14 @@ class Platform
 
     /**
      * The one execution path of every run, in two passes over the
-     * load. Pass A streams it into a mean accumulator. Pass B streams
-     * it again through the PDN stepper, biased at that mean, into the
-     * observers: load → stagger sum and ZOH (core-rate loads only) →
-     * PDN → settle-strip slice → v_die / i_die observers and the
-     * antenna → em. The PDN steps only to the end of the window,
-     * rounded up to whole transient blocks; every window sample is
-     * the one stepping the whole load gives.
+     * load held in memory. Each pass reads the load at the PDN
+     * timestep: a core-rate load's stagger sum and ZOH are computed
+     * per PDN sample. Pass A sums the mean. Pass B pushes the load
+     * through the PDN stepper, biased at that mean, into the
+     * observers: PDN → settle-strip slice → v_die / i_die observers
+     * and the antenna → em. The PDN steps only to the end of the
+     * window, rounded up to whole transient blocks; every window
+     * sample is the one stepping the whole load gives.
      *
      * @param i_scl          Optional SCL waveform.
      * @param make_observers Called between the passes with the

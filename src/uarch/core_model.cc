@@ -11,6 +11,7 @@
 #include <deque>
 
 #include "util/error.h"
+#include "util/metrics.h"
 
 namespace emstress {
 namespace uarch {
@@ -84,18 +85,6 @@ CoreParams::fuCount(FuKind kind) const
     return 1;
 }
 
-void
-LoopRecording::emitInto(SampleSink &sink) const
-{
-    requireSim(complete(),
-               "LoopRecording::emitInto on an incomplete recording");
-    for (double v : prefix)
-        sink.push(v);
-    for (std::size_t i = prefix.size(); i < total; ++i)
-        sink.push(period[(i - prefix.size()) % period.size()]);
-    sink.finish();
-}
-
 CoreModel::CoreModel(const CoreParams &params) : params_(params)
 {
     requireConfig(params.issue_width >= 1, "issue width must be >= 1");
@@ -109,30 +98,23 @@ CoreModel::runLoop(const isa::InstructionPool &pool,
                    const isa::Kernel &kernel, double f_clk_hz,
                    double duration_s) const
 {
-    TraceSink sink(1.0 / f_clk_hz);
-    sink.reserve(loopEmitCount(f_clk_hz, duration_s));
-    KernelRunStats stats =
-        runLoopInto(pool, kernel, f_clk_hz, duration_s, sink);
-    return {sink.take(), stats};
-}
-
-KernelRunStats
-CoreModel::runLoopInto(const isa::InstructionPool &pool,
-                       const isa::Kernel &kernel, double f_clk_hz,
-                       double duration_s, SampleSink &sink,
-                       LoopRecording *recording) const
-{
     requireConfig(!kernel.empty(), "cannot run an empty kernel");
     requireConfig(f_clk_hz > 0.0 && duration_s > 0.0,
                   "clock and duration must be positive");
     kernel.validate(pool);
-    const std::size_t target = loopEmitCount(f_clk_hz, duration_s);
+    // The simulated steady-state window: loop execution never ends
+    // early.
+    const auto target =
+        static_cast<std::size_t>(duration_s * f_clk_hz) + 1;
     // Warmup long enough to fill pipelines and reach the periodic
     // steady state even for long-latency-heavy kernels.
     const std::size_t warmup =
         std::max<std::size_t>(1024, kernel.size() * 32);
-    return simulateInto(pool, kernel.code(), true, f_clk_hz, target,
-                        warmup, sink, recording);
+    CoreRunResult out{Trace(1.0 / f_clk_hz), {}};
+    out.current.reserve(target);
+    out.stats = simulateInto(pool, kernel.code(), true, f_clk_hz, target,
+                             warmup, out.current.data());
+    return out;
 }
 
 CoreRunResult
@@ -144,11 +126,11 @@ CoreModel::runStream(const isa::InstructionPool &pool,
     requireConfig(f_clk_hz > 0.0, "clock must be positive");
     // Upper bound: every instruction serialized at max latency.
     const std::size_t cap = stream.size() * 24 + 1024;
-    TraceSink sink(1.0 / f_clk_hz);
-    sink.reserve(cap);
-    KernelRunStats stats =
-        simulateInto(pool, stream, false, f_clk_hz, cap, 0, sink);
-    return {sink.take(), stats};
+    CoreRunResult out{Trace(1.0 / f_clk_hz), {}};
+    out.current.reserve(cap);
+    out.stats = simulateInto(pool, stream, false, f_clk_hz, cap, 0,
+                             out.current.data());
+    return out;
 }
 
 KernelRunStats
@@ -157,14 +139,8 @@ CoreModel::simulateInto(const isa::InstructionPool &pool,
                         bool loop, double f_clk_hz,
                         std::size_t target_cycles,
                         std::size_t warmup_cycles,
-                        SampleSink &sink,
-                        LoopRecording *recording) const
+                        std::vector<double> &out) const
 {
-    if (recording != nullptr) {
-        recording->prefix.clear();
-        recording->period.clear();
-        recording->total = 0;
-    }
     const double cycle_time = 1.0 / f_clk_hz;
     const std::size_t total_cycles = warmup_cycles + target_cycles;
 
@@ -256,11 +232,6 @@ CoreModel::simulateInto(const isa::InstructionPool &pool,
     // re-simulating — bit-identical emission at O(period) memory and
     // O(warmup + detection) simulated cycles.
     bool detecting = loop;
-    // Recording rides on the same detection machinery: the prefix is
-    // every live-simulated sample, the period is the detected
-    // recurrence. Abandoning detection also abandons the recording
-    // (an unbounded prefix would defeat the O(window) memory claim).
-    bool rec_active = recording != nullptr && loop;
     bool have_ref = false;
     std::size_t ref_cycle = 0;
     std::vector<std::int64_t> ref_ints, cand_ints;
@@ -314,12 +285,14 @@ CoreModel::simulateInto(const isa::InstructionPool &pool,
     };
 
     std::size_t cycle = 0;
+    std::size_t live_cycles = 0; ///< Cycles simulated one by one.
     for (; cycle < total_cycles; ++cycle) {
         // Dispatch into the window.
         while (window.size() < params_.window_size && dispatch_one()) {
         }
         if (window.empty() && stream_done)
             break;
+        ++live_cycles;
 
         const auto c = static_cast<std::int64_t>(cycle);
         unsigned issued_this_cycle = 0;
@@ -397,11 +370,8 @@ CoreModel::simulateInto(const isa::InstructionPool &pool,
         const std::size_t slot = cycle % kEnergyRing;
         const double emitted =
             params_.idle_current + energy[slot] * energy_to_amps;
-        if (cycle >= warmup_cycles) {
-            sink.push(emitted);
-            if (rec_active)
-                recording->prefix.push_back(emitted);
-        }
+        if (cycle >= warmup_cycles)
+            out.push_back(emitted);
         energy[slot] = 0.0;
 
         if (detecting && cycle >= warmup_cycles) {
@@ -422,14 +392,12 @@ CoreModel::simulateInto(const isa::InstructionPool &pool,
                         // Recurrence: cycles ref_cycle+1..cycle form
                         // one exact period. Replay it for the rest
                         // of the run.
-                        if (rec_active)
-                            recording->period = rec_samples;
                         const std::size_t period = rec_samples.size();
                         for (std::size_t cyc = cycle + 1;
                              cyc < total_cycles; ++cyc) {
                             const std::size_t idx =
                                 (cyc - ref_cycle - 1) % period;
-                            sink.push(rec_samples[idx]);
+                            out.push_back(rec_samples[idx]);
                             issued_in_window += rec_issued[idx];
                             for (std::uint32_t r = 0;
                                  r < rec_iters[idx]; ++r)
@@ -448,10 +416,6 @@ CoreModel::simulateInto(const isa::InstructionPool &pool,
                 std::vector<double>().swap(rec_samples);
                 std::vector<std::uint32_t>().swap(rec_issued);
                 std::vector<std::uint32_t>().swap(rec_iters);
-                if (rec_active) {
-                    rec_active = false;
-                    std::vector<double>().swap(recording->prefix);
-                }
             }
         }
 
@@ -484,7 +448,8 @@ CoreModel::simulateInto(const isa::InstructionPool &pool,
         ? end_cycle - warmup_cycles
         : 0;
     requireSim(measured > 0, "core simulation produced no cycles");
-    sink.finish();
+    // Observability only: the counter never feeds the run.
+    metrics::Registry::instance().add("uarch.live_cycles", live_cycles);
 
     KernelRunStats stats;
     stats.cycles = measured;
@@ -504,10 +469,6 @@ CoreModel::simulateInto(const isa::InstructionPool &pool,
                 static_cast<double>(span_cycles) / iters * cycle_time;
             stats.loop_freq_hz = 1.0 / stats.loop_period_s;
         }
-    }
-    if (recording != nullptr) {
-        recording->total = measured;
-        recording->stats = stats;
     }
     return stats;
 }

@@ -26,7 +26,6 @@
 
 #include "isa/kernel.h"
 #include "isa/pool.h"
-#include "util/sample_sink.h"
 #include "util/trace.h"
 
 namespace emstress {
@@ -88,34 +87,6 @@ struct CoreRunResult
 };
 
 /**
- * Bounded replayable recording of a loop run's emitted current,
- * filled by CoreModel::runLoopInto when the engine's steady-state
- * recurrence detection succeeds: the emitted stream then equals
- * `prefix` followed by `period` repeated until `total` samples are
- * out. Lets a caller that needs the same run twice (e.g. the
- * platform's mean-bias pass and observation pass) simulate once and
- * replay, at O(detection window) memory independent of duration.
- */
-struct LoopRecording
-{
-    std::vector<double> prefix; ///< Samples up to the recurrence.
-    std::vector<double> period; ///< One exact steady-state period
-                                ///< (empty if detection failed).
-    std::size_t total = 0;      ///< Samples the run emits in all.
-    KernelRunStats stats;       ///< The run's statistics.
-
-    /** True when the recording reproduces the full run. */
-    bool
-    complete() const
-    {
-        return !period.empty() || prefix.size() == total;
-    }
-
-    /** Replay the run into a sink (push x total, then finish). */
-    void emitInto(SampleSink &sink) const;
-};
-
-/**
  * Executable core model. Stateless across runs; safe to reuse for
  * thousands of GA evaluations.
  */
@@ -135,8 +106,10 @@ class CoreModel
      * @param pool       Pool the kernel's instructions refer to.
      * @param kernel     Loop body to execute.
      * @param f_clk_hz   Core clock frequency.
-     * @param duration_s Steady-state window to record (the engine
-     *                   additionally runs a warmup that is discarded).
+     * @param duration_s Steady-state window to record: the trace
+     *                   holds duration_s * f_clk_hz + 1 cycles (the
+     *                   engine additionally runs a warmup that is
+     *                   discarded).
      */
     CoreRunResult runLoop(const isa::InstructionPool &pool,
                           const isa::Kernel &kernel, double f_clk_hz,
@@ -151,44 +124,18 @@ class CoreModel
                             std::span<const isa::Instruction> stream,
                             double f_clk_hz) const;
 
-    /**
-     * Streaming variant of runLoop: emits the per-cycle current into
-     * a sample sink (one push per steady-state cycle, then finish())
-     * instead of materializing a trace, and returns the loop
-     * statistics. Sample values and stats are bit-identical to
-     * runLoop; the engine itself holds O(window) state regardless of
-     * duration.
-     *
-     * @param recording When non-null, additionally captures a bounded
-     *                  prefix + period replay of the emitted stream
-     *                  (check recording->complete(); detection can
-     *                  fail for aperiodic-within-budget kernels).
-     */
-    KernelRunStats runLoopInto(const isa::InstructionPool &pool,
-                               const isa::Kernel &kernel,
-                               double f_clk_hz, double duration_s,
-                               SampleSink &sink,
-                               LoopRecording *recording = nullptr) const;
-
-    /**
-     * Cycles runLoopInto will emit for a duration: the simulated
-     * steady-state window (loop execution never ends early).
-     */
-    static std::size_t loopEmitCount(double f_clk_hz,
-                                     double duration_s)
-    {
-        return static_cast<std::size_t>(duration_s * f_clk_hz) + 1;
-    }
-
   private:
+    /**
+     * Step the engine and append each post-warmup cycle's current to
+     * `out`. A loop whose microarchitectural state recurs is
+     * fast-forwarded from there by repeating the recorded period.
+     */
     KernelRunStats simulateInto(const isa::InstructionPool &pool,
                                 std::span<const isa::Instruction> body,
                                 bool loop, double f_clk_hz,
                                 std::size_t target_cycles,
                                 std::size_t warmup_cycles,
-                                SampleSink &sink,
-                                LoopRecording *recording
-                                = nullptr) const;
+                                std::vector<double> &out) const;
 
     CoreParams params_;
 };

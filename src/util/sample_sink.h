@@ -16,9 +16,7 @@
 #ifndef EMSTRESS_UTIL_SAMPLE_SINK_H
 #define EMSTRESS_UTIL_SAMPLE_SINK_H
 
-#include <algorithm>
 #include <cstddef>
-#include <limits>
 #include <utility>
 #include <vector>
 
@@ -72,34 +70,6 @@ class TraceSink final : public SampleSink
 };
 
 /**
- * Running arithmetic mean with a plain left-to-right accumulation,
- * matching batch code that sums a vector front to back (bit-identical
- * to `std::accumulate / size`, unlike a Welford accumulator).
- */
-class MeanSink final : public SampleSink
-{
-  public:
-    void push(double v) override
-    {
-        sum_ += v;
-        ++count_;
-    }
-
-    std::size_t count() const { return count_; }
-
-    double
-    mean() const
-    {
-        requireSim(count_ > 0, "MeanSink::mean on an empty stream");
-        return sum_ / static_cast<double>(count_);
-    }
-
-  private:
-    double sum_ = 0.0;
-    std::size_t count_ = 0;
-};
-
-/**
  * Pass samples [skip, skip + count) downstream and drop the rest —
  * the streaming equivalent of Trace::slice for settle-time stripping.
  */
@@ -135,41 +105,26 @@ class SliceSink final : public SampleSink
  * the output length comes from Trace::outputLengthFor and each output
  * sample j replays input index clamp(floor(new_dt * j / dt_in)).
  * The input length must be known a priori (it fixes the output
- * length and the tail clamp). A `limit` cuts the output short: only
- * its first `limit` samples are emitted, and inputs past them are
- * consumed without work.
+ * length and the tail clamp).
  */
 class ZohResampleSink final : public SampleSink
 {
   public:
     ZohResampleSink(SampleSink &downstream, std::size_t n_in,
-                    double dt_in, double new_dt,
-                    std::size_t limit
-                    = std::numeric_limits<std::size_t>::max())
+                    double dt_in, double new_dt)
         : downstream_(downstream), n_in_(n_in), dt_in_(dt_in),
           new_dt_(new_dt)
     {
         requireConfig(new_dt > 0.0, "resample dt must be positive");
         requireConfig(n_in > 0,
                       "ZohResampleSink needs a non-empty input");
-        n_out_ = std::min(limit,
-                          Trace::outputLengthFor(
-                              dt_in * static_cast<double>(n_in), new_dt));
+        n_out_ = Trace::outputLengthFor(
+            dt_in * static_cast<double>(n_in), new_dt);
         next_src_ = srcIndex(0);
     }
 
     /** Output samples this stream will produce. */
     std::size_t outputSize() const { return n_out_; }
-
-    /**
-     * Inputs the outputs read (the last output's source index + 1):
-     * later inputs are consumed without effect.
-     */
-    std::size_t
-    inputsRead() const
-    {
-        return n_out_ == 0 ? 0 : srcIndex(n_out_ - 1) + 1;
-    }
 
     void
     push(double v) override

@@ -181,19 +181,22 @@ TEST(Pool, AssemblyRendering)
 
 TEST(Pool, XmlRoundTrip)
 {
-    const auto pool = InstructionPool::armV8();
-    const std::string xml = pool.toXmlString();
-    const auto restored = InstructionPool::fromXmlString(xml);
-    ASSERT_EQ(restored.defs().size(), pool.defs().size());
-    for (std::size_t i = 0; i < pool.defs().size(); ++i) {
-        EXPECT_EQ(restored.defs()[i].mnemonic, pool.defs()[i].mnemonic);
-        EXPECT_EQ(restored.defs()[i].cls, pool.defs()[i].cls);
-        EXPECT_EQ(restored.defs()[i].latency, pool.defs()[i].latency);
-        EXPECT_NEAR(restored.defs()[i].energy, pool.defs()[i].energy,
-                    1e-18);
+    for (const auto &pool :
+         {InstructionPool::armV8(), InstructionPool::x86Sse2()}) {
+        const std::string xml = pool.toXmlString();
+        const auto restored = InstructionPool::fromXmlString(xml);
+        ASSERT_EQ(restored.defs().size(), pool.defs().size());
+        for (std::size_t i = 0; i < pool.defs().size(); ++i) {
+            EXPECT_EQ(restored.defs()[i].mnemonic,
+                      pool.defs()[i].mnemonic);
+            EXPECT_EQ(restored.defs()[i].cls, pool.defs()[i].cls);
+            EXPECT_EQ(restored.defs()[i].latency, pool.defs()[i].latency);
+            EXPECT_EQ(restored.defs()[i].energy, pool.defs()[i].energy)
+                << pool.defs()[i].mnemonic;
+        }
+        EXPECT_EQ(restored.isa(), pool.isa());
+        EXPECT_EQ(restored.memSlots(), pool.memSlots());
     }
-    EXPECT_EQ(restored.isa(), pool.isa());
-    EXPECT_EQ(restored.memSlots(), pool.memSlots());
 }
 
 TEST(Pool, XmlEscapesMnemonics)

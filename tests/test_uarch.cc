@@ -280,6 +280,23 @@ TEST(CoreModel, DeterministicAcrossRuns)
     EXPECT_DOUBLE_EQ(r1.stats.ipc, r2.stats.ipc);
 }
 
+TEST(CoreModel, ReloadedPoolRunsTheSameLoop)
+{
+    // A pool saved as XML and read back drives the core to the same
+    // current, sample for sample.
+    const auto pool = isa::InstructionPool::armV8();
+    const auto reloaded =
+        isa::InstructionPool::fromXmlString(pool.toXmlString());
+    Rng rng(4);
+    const auto kernel = isa::Kernel::random(pool, 50, rng);
+    CoreModel a72(cortexA72Params());
+    const auto want = a72.runLoop(pool, kernel, 1.2e9, 2e-6);
+    const auto got = a72.runLoop(reloaded, kernel, 1.2e9, 2e-6);
+    ASSERT_EQ(got.current.size(), want.current.size());
+    for (std::size_t i = 0; i < want.current.size(); ++i)
+        ASSERT_EQ(got.current[i], want.current[i]) << "sample " << i;
+}
+
 class FuKindMapping
     : public ::testing::TestWithParam<std::pair<isa::InstrClass, FuKind>>
 {};
