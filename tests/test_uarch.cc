@@ -6,12 +6,18 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "isa/kernel.h"
 #include "isa/pool.h"
 #include "uarch/core_model.h"
 #include "util/error.h"
 #include "util/rng.h"
 #include "util/stats.h"
+#include "workloads/workload.h"
 
 namespace emstress {
 namespace uarch {
@@ -295,6 +301,110 @@ TEST(CoreModel, ReloadedPoolRunsTheSameLoop)
     ASSERT_EQ(got.current.size(), want.current.size());
     for (std::size_t i = 0; i < want.current.size(); ++i)
         ASSERT_EQ(got.current[i], want.current[i]) << "sample " << i;
+}
+
+/** FNV-1a 64 over the bytes of each word. */
+class Fnv1a
+{
+  public:
+    void
+    add(std::uint64_t word)
+    {
+        for (int b = 0; b < 8; ++b) {
+            h_ ^= (word >> (8 * b)) & 0xffu;
+            h_ *= 0x100000001b3ull;
+        }
+    }
+
+    void add(double x) { add(std::bit_cast<std::uint64_t>(x)); }
+
+    /** Every emitted sample, then every KernelRunStats field. */
+    void
+    add(const CoreRunResult &run)
+    {
+        add(static_cast<std::uint64_t>(run.current.size()));
+        for (double x : run.current.samples())
+            add(x);
+        add(run.stats.ipc);
+        add(run.stats.loop_period_s);
+        add(run.stats.loop_freq_hz);
+        add(static_cast<std::uint64_t>(run.stats.cycles));
+        add(static_cast<std::uint64_t>(run.stats.instructions));
+    }
+
+    std::uint64_t value() const { return h_; }
+
+  private:
+    std::uint64_t h_ = 0xcbf29ce484222325ull;
+};
+
+/** One modeled CPU at its top clock, with its pool. */
+struct CorpusCpu
+{
+    CoreParams params;
+    isa::InstructionPool pool;
+    double f_clk_hz;
+    /// Seeds past the shared range 1..60: kernels whose state never
+    /// recurs within the run, so no period can be replayed.
+    std::vector<std::uint64_t> never_recurring;
+    const char *profile; ///< Workload profile run as one stream.
+    std::uint64_t loops_hash;
+    std::uint64_t stream_hash;
+};
+
+std::vector<CorpusCpu>
+corpusCpus()
+{
+    return {
+        {cortexA72Params(), isa::InstructionPool::armV8(), 1.2e9,
+         {307, 337}, "mcf", 0x106186b8af5f9697ull,
+         0x655fc78d8bc605f8ull},
+        {cortexA53Params(), isa::InstructionPool::armV8(), 950e6, {},
+         "lbm", 0x0b991695f5c86a6bull, 0xc0fdff4119d9928cull},
+        {athlonX4Params(), isa::InstructionPool::x86Sse2(), 3.1e9,
+         {108, 223}, "prime95", 0x27d7c44d8d3c6a9bull,
+         0x8e51696487999d08ull},
+    };
+}
+
+TEST(CoreModel, SeededCorpusEmitsPinnedBits)
+{
+    // Seeded 50-instruction kernels over the GA's 4 us window: the
+    // range holds kernels that recur within a few iterations, kernels
+    // whose state settles onto its period only thousands of cycles
+    // after warmup, and (the extra seeds) kernels that never recur.
+    // The pins cover every emitted sample and every statistic, so any
+    // change to how the engine steps, detects or replays shows here.
+    for (const auto &cpu : corpusCpus()) {
+        SCOPED_TRACE(cpu.params.name);
+        const CoreModel core(cpu.params);
+        std::vector<std::uint64_t> seeds;
+        for (std::uint64_t s = 1; s <= 60; ++s)
+            seeds.push_back(s);
+        seeds.insert(seeds.end(), cpu.never_recurring.begin(),
+                     cpu.never_recurring.end());
+        Fnv1a loops;
+        for (std::uint64_t seed : seeds) {
+            Rng rng(seed);
+            const auto kernel = isa::Kernel::random(cpu.pool, 50, rng);
+            loops.add(core.runLoop(cpu.pool, kernel, cpu.f_clk_hz, 4e-6));
+        }
+        Fnv1a stream;
+        stream.add(core.runStream(
+            cpu.pool,
+            workloads::generateStream(
+                workloads::findProfile(
+                    cpu.profile == std::string("prime95")
+                        ? workloads::desktopSuite()
+                        : workloads::spec2006Suite(),
+                    cpu.profile),
+                cpu.pool, 8000, Rng(9)),
+            cpu.f_clk_hz));
+        EXPECT_EQ(loops.value(), cpu.loops_hash)
+            << std::hex << "0x" << loops.value();
+        EXPECT_EQ(stream.value(), cpu.stream_hash)
+            << std::hex << "0x" << stream.value();
+    }
 }
 
 class FuKindMapping
