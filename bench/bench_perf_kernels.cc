@@ -84,6 +84,38 @@ BM_CoreModelLoop(benchmark::State &state)
 }
 BENCHMARK(BM_CoreModelLoop);
 
+/**
+ * The GA's population: seeded random 50-instruction kernels over the
+ * EM window, on the A72 (arg 0) and the Athlon (arg 1). Unlike the
+ * resonant kernel, some of them settle onto their period late or
+ * never, so their cycles are stepped one by one.
+ */
+void
+BM_CoreModelRandomKernels(benchmark::State &state)
+{
+    const bool athlon = state.range(0) == 1;
+    platform::Platform plat(athlon ? platform::athlonConfig()
+                                   : platform::junoA72Config(),
+                            1);
+    const uarch::CoreModel core(plat.config().core);
+    std::vector<isa::Kernel> corpus;
+    for (std::uint64_t seed = 1; seed <= 32; ++seed) {
+        Rng rng(seed);
+        corpus.push_back(isa::Kernel::random(plat.pool(), 50, rng));
+    }
+    for (auto _ : state) {
+        for (const auto &kernel : corpus)
+            benchmark::DoNotOptimize(core.runLoop(
+                plat.pool(), kernel, plat.frequency(), 4.5e-6));
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations())
+                            * static_cast<std::int64_t>(corpus.size()));
+}
+BENCHMARK(BM_CoreModelRandomKernels)
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond);
+
 void
 BM_AntennaReceive(benchmark::State &state)
 {

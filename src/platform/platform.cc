@@ -75,25 +75,32 @@ scopeParamsFor(const PlatformConfig &cfg)
 }
 
 /**
- * PDN sample j of a core-rate load `one` sampled every `dt`: the
- * cycle Trace::resampleZeroOrderHold holds at step j, summed over
+ * The cycle of a core-rate load of `cycles` samples, sampled every
+ * `dt`, that Trace::resampleZeroOrderHold holds at PDN step j.
+ */
+std::size_t
+heldCycle(std::size_t cycles, double dt, std::size_t j)
+{
+    const double t = kPdnDt * static_cast<double>(j);
+    const auto src = static_cast<std::size_t>(t / dt);
+    return std::min(src, cycles - 1);
+}
+
+/**
+ * The load at held cycle `src` of a core-rate load `one`: summed over
  * `cores` instances each `stagger` cycles further along (wrapping),
- * scaled by v_scale, plus idle-core leakage. This is the whole-trace
- * rotation sum
+ * scaled by v_scale, plus idle-core leakage. Resampled, this is the
+ * whole-trace rotation sum
  *
  *     total[k] = sum_c one[(k + c*stagger) % N] * v_scale  (+ idle)
  *
- * resampled, term by term in its order.
+ * term by term in its order.
  */
 double
-staggerSum(std::span<const double> one, double dt, std::size_t j,
+staggerSum(std::span<const double> one, std::size_t src,
            std::size_t stagger, std::size_t cores, double v_scale,
            double extra_idle)
 {
-    const double t = kPdnDt * static_cast<double>(j);
-    auto src = static_cast<std::size_t>(t / dt);
-    if (src >= one.size())
-        src = one.size() - 1;
     double total = 0.0;
     for (std::size_t c = 0; c < cores; ++c) {
         total += one[src] * v_scale;
@@ -373,11 +380,22 @@ Platform::pipeline(const LoadSource &load,
     if (load.core_rate)
         requireSim(one.size() > load.stagger * active,
                    "core trace too short for phase-shifted summation");
-    // The load at the PDN timestep.
+    // The load at the PDN timestep. The hold spans several steps
+    // (10/3 on the A72), and both passes walk the steps in order, so
+    // a core-rate sum is reused while its held cycle repeats: the
+    // same terms in the same order, so the same bits.
+    std::size_t held_src = one.size();
+    double held_total = 0.0;
     const auto at = [&](std::size_t j) {
-        return load.core_rate ? staggerSum(one, load.dt, j, load.stagger,
-                                           active, v_scale, extra_idle)
-                              : one[j];
+        if (!load.core_rate)
+            return one[j];
+        const std::size_t src = heldCycle(one.size(), load.dt, j);
+        if (src != held_src) {
+            held_src = src;
+            held_total = staggerSum(one, src, load.stagger, active,
+                                    v_scale, extra_idle);
+        }
+        return held_total;
     };
 
     // The window: the settle lead-in is stripped, and output k is

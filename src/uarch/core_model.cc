@@ -8,7 +8,9 @@
 #include "uarch/core_model.h"
 
 #include <algorithm>
-#include <deque>
+#include <array>
+#include <bit>
+#include <cstdint>
 
 #include "util/error.h"
 #include "util/metrics.h"
@@ -60,14 +62,106 @@ regFileIndex(isa::RegFile file)
     return 3;
 }
 
+/** A pool definition as the issue stage needs it, decoded once. */
+struct DecodedOp
+{
+    std::size_t fu = 0;          ///< FuKind index.
+    std::int64_t latency = 1;    ///< Cycles until the result is ready.
+    bool unpipelined = false;    ///< Holds its unit for the latency.
+    double per_cycle = 0.0;      ///< Switching energy per latency cycle.
+    std::size_t rf = 3;          ///< Renaming-table index.
+    unsigned sources = 0;        ///< Register sources read.
+    bool has_dest = false;       ///< Writes a destination register.
+};
+
+constexpr std::uint32_t kNoLink = 0xffffffffu;
+
 /** One dispatched, not-yet-issued instruction in the window. */
 struct WindowEntry
 {
-    std::size_t slot;        ///< Index within the kernel/stream body.
-    std::int64_t dyn_id;     ///< Dynamic instruction id.
-    std::int64_t producer0;  ///< Dynamic id of src0 producer or -1.
-    std::int64_t producer1;  ///< Dynamic id of src1 producer or -1.
+    std::size_t slot = 0;       ///< Index within the kernel/stream body.
+    const DecodedOp *op = nullptr; ///< Its decoded definition.
+    std::int64_t dyn_id = 0;    ///< Dynamic instruction id.
+    /// Per source: the unissued producer's dynamic id, or -1 once the
+    /// operand's finish cycle is known (or it has no producer).
+    std::array<std::int64_t, 2> waiting_on{{-1, -1}};
+    /// Latest finish cycle among the producers already issued: the
+    /// entry may issue from this cycle on once it waits on none.
+    std::int64_t ready = 0;
+    /// Head of the list of consumer operands waiting on this entry;
+    /// link 2 * entry + source, chained through `next_waiter`.
+    std::uint32_t waiters = kNoLink;
+    bool live = false;          ///< Holds an instruction.
 };
+
+/** Renaming-table entry: the last writer of one register. */
+struct Writer
+{
+    std::int64_t dyn_id = -1;   ///< Dynamic id, -1 for none yet.
+    std::int64_t finish = -1;   ///< Result cycle, -1 while unissued.
+    std::uint32_t entry = 0;    ///< Window storage while unissued.
+};
+
+/**
+ * The window entries of one unit kind whose operands are ready,
+ * oldest first. Picks take the front; the consumed prefix is dropped
+ * when the storage would otherwise grow.
+ */
+class ReadyList
+{
+  public:
+    bool empty() const { return head_ == ids_.size(); }
+    std::uint32_t front() const { return ids_[head_]; }
+
+    void
+    popFront()
+    {
+        if (++head_ == ids_.size()) {
+            ids_.clear();
+            head_ = 0;
+        }
+    }
+
+    /** Insert by age; `older(a, b)` orders two entries. */
+    template <class Older>
+    void
+    insert(std::uint32_t entry, Older older)
+    {
+        const auto live = ids_.begin() + static_cast<std::ptrdiff_t>(head_);
+        if (head_ > 0 && ids_.size() == ids_.capacity()) {
+            ids_.erase(ids_.begin(), live);
+            head_ = 0;
+        }
+        if (empty() || older(ids_.back(), entry))
+            ids_.push_back(entry); // the youngest ready entry so far
+        else
+            ids_.insert(std::upper_bound(ids_.begin()
+                                             + static_cast<std::ptrdiff_t>(
+                                                 head_),
+                                         ids_.end(), entry, older),
+                        entry);
+    }
+
+  private:
+    std::vector<std::uint32_t> ids_;
+    std::size_t head_ = 0;
+};
+
+/** One stepped cycle, kept for replay once the state recurs. */
+struct RecordedCycle
+{
+    double current;             ///< Emitted current [A].
+    std::uint32_t issued;       ///< Instructions issued.
+    std::uint32_t iters;        ///< Iterations started (slot 0 issues).
+};
+
+/** Fold one 64-bit word into a running state hash. */
+std::uint64_t
+foldWord(std::uint64_t h, std::uint64_t w)
+{
+    h ^= w + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
+    return h * 0xff51afd7ed558ccdull;
+}
 
 } // namespace
 
@@ -144,31 +238,36 @@ CoreModel::simulateInto(const isa::InstructionPool &pool,
     const double cycle_time = 1.0 / f_clk_hz;
     const std::size_t total_cycles = warmup_cycles + target_cycles;
 
-    // Renaming table: last writer dynamic id per (regfile, reg).
-    std::array<std::vector<std::int64_t>, 4> last_writer;
+    // Every pool definition decoded once. The energy per latency
+    // cycle is the same expression it always was, so the same bits.
+    std::vector<DecodedOp> ops(pool.defs().size());
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+        const isa::InstrDef &d = pool.defs()[i];
+        DecodedOp &op = ops[i];
+        op.fu = static_cast<std::size_t>(fuKindForClass(d.cls));
+        op.latency = static_cast<std::int64_t>(d.latency);
+        op.unpipelined = isUnpipelined(d.cls);
+        const double e_op = d.energy * params_.energy_scale;
+        op.per_cycle = e_op / static_cast<double>(d.latency);
+        op.rf = regFileIndex(d.reg_file);
+        op.sources = d.sources;
+        op.has_dest = d.has_dest;
+    }
+
+    // Renaming table: the last writer per (regfile, reg).
+    std::array<std::vector<Writer>, 4> last_writer;
     for (std::size_t f = 0; f < 3; ++f) {
         const auto file = static_cast<isa::RegFile>(f);
         last_writer[f].assign(
             static_cast<std::size_t>(std::max(pool.regCount(file), 1)),
-            -1);
+            Writer{});
     }
-    last_writer[3].assign(1, -1);
-
-    // Finish time (cycle at which the result is available) per
-    // dynamic id; -1 while not yet issued. Stored as a sliding window
-    // over recent dynamic ids: ids below ft_base can no longer be
-    // referenced (not in the window, not a last_writer) and are
-    // evicted periodically, keeping the engine O(window) in memory
-    // regardless of run length.
-    std::deque<std::int64_t> finish_time;
-    std::int64_t ft_base = 0;
-    auto ft = [&](std::int64_t dyn_id) -> std::int64_t & {
-        return finish_time[static_cast<std::size_t>(dyn_id - ft_base)];
-    };
+    last_writer[3].assign(1, Writer{});
 
     // Functional units: busy-until cycle per unit instance.
-    std::array<std::vector<std::int64_t>, 6> fu_busy;
-    for (std::size_t k = 0; k < 6; ++k)
+    constexpr std::size_t kKinds = 6;
+    std::array<std::vector<std::int64_t>, kKinds> fu_busy;
+    for (std::size_t k = 0; k < kKinds; ++k)
         fu_busy[k].assign(params_.fuCount(static_cast<FuKind>(k)), 0);
 
     // Per-cycle switching energy, accumulated in a ring: an issue at
@@ -179,36 +278,87 @@ CoreModel::simulateInto(const isa::InstructionPool &pool,
     constexpr std::size_t kEnergyRing = 64;
     std::array<double, kEnergyRing> energy{};
 
-    std::deque<WindowEntry> window;
+    // The window in flat storage: entries, a free list of storage
+    // slots, and the links of consumer operands waiting on an
+    // unissued producer (link 2 * consumer + source).
+    const std::size_t window_cap = params_.window_size;
+    std::vector<WindowEntry> entries(window_cap);
+    std::vector<std::uint32_t> free_entries(window_cap);
+    for (std::size_t i = 0; i < window_cap; ++i)
+        free_entries[i] = static_cast<std::uint32_t>(window_cap - 1 - i);
+    std::vector<std::uint32_t> next_waiter(2 * window_cap, kNoLink);
+    std::size_t window_count = 0;
+
+    // Issue candidates: per unit kind, the entries whose operands are
+    // ready by this cycle, oldest first. An entry whose operands
+    // finish later waits in the wakeup bucket of that cycle; every
+    // finish lies at most one ring length past the cycle it becomes
+    // known in.
+    std::array<ReadyList, kKinds> ready;
+    unsigned ready_kinds = 0; ///< Bit k: ready[k] is not empty.
+    std::array<std::vector<std::uint32_t>, kEnergyRing> wake_at;
+    const auto older = [&](std::uint32_t a, std::uint32_t b) {
+        return entries[a].dyn_id < entries[b].dyn_id;
+    };
+    auto makeReady = [&](std::uint32_t ei) {
+        const std::size_t kind = entries[ei].op->fu;
+        ready_kinds |= 1u << kind;
+        ready[kind].insert(ei, older);
+    };
+
+    std::size_t cycle = 0;
     std::size_t next_slot = 0;      ///< Next body index to dispatch.
     std::int64_t next_dyn = 0;      ///< Next dynamic id.
     bool stream_done = false;
 
     // Loop statistics: cycles at which slot 0 issues.
     std::vector<std::int64_t> iter_starts;
-    std::size_t issued_total = 0;
     std::size_t issued_in_window = 0; // after warmup
 
     auto dispatch_one = [&]() {
         if (stream_done)
             return false;
         const isa::Instruction &instr = body[next_slot];
-        const isa::InstrDef &d = pool.def(instr.def_index);
-        WindowEntry e;
+        requireConfig(instr.def_index < ops.size(),
+                      "definition index out of range");
+        const DecodedOp &op = ops[instr.def_index];
+        const std::uint32_t ei = free_entries.back();
+        free_entries.pop_back();
+        WindowEntry &e = entries[ei];
         e.slot = next_slot;
+        e.op = &op;
         e.dyn_id = next_dyn++;
-        const std::size_t rf = regFileIndex(d.reg_file);
-        e.producer0 = d.sources >= 1 && instr.src[0] >= 0
-            ? last_writer[rf][static_cast<std::size_t>(instr.src[0])]
-            : -1;
-        e.producer1 = d.sources >= 2 && instr.src[1] >= 0
-            ? last_writer[rf][static_cast<std::size_t>(instr.src[1])]
-            : -1;
-        if (d.has_dest && instr.dest >= 0)
-            last_writer[rf][static_cast<std::size_t>(instr.dest)] =
-                e.dyn_id;
-        finish_time.push_back(-1);
-        window.push_back(e);
+        e.ready = 0;
+        e.waiters = kNoLink;
+        e.live = true;
+        auto &regs = last_writer[op.rf];
+        for (std::size_t k = 0; k < 2; ++k) {
+            e.waiting_on[k] = -1;
+            if (op.sources <= k || instr.src[k] < 0)
+                continue;
+            const Writer &w = regs[static_cast<std::size_t>(instr.src[k])];
+            if (w.dyn_id < 0)
+                continue;
+            if (w.finish < 0) {
+                e.waiting_on[k] = w.dyn_id;
+                const auto link = static_cast<std::uint32_t>(2 * ei + k);
+                next_waiter[link] = entries[w.entry].waiters;
+                entries[w.entry].waiters = link;
+            } else {
+                e.ready = std::max(e.ready, w.finish);
+            }
+        }
+        if (op.has_dest && instr.dest >= 0)
+            regs[static_cast<std::size_t>(instr.dest)] =
+                Writer{e.dyn_id, -1, ei};
+        ++window_count;
+        if (e.waiting_on[0] < 0 && e.waiting_on[1] < 0) {
+            if (e.ready <= static_cast<std::int64_t>(cycle))
+                makeReady(ei);
+            else
+                wake_at[static_cast<std::size_t>(e.ready) % kEnergyRing]
+                    .push_back(ei);
+        }
         ++next_slot;
         if (next_slot == body.size()) {
             if (loop)
@@ -223,74 +373,97 @@ CoreModel::simulateInto(const isa::InstructionPool &pool,
 
     // --- Steady-state fast-forward (loop mode only) ---------------
     // A looping kernel's normalized microarchitectural state (window
-    // contents, relative finish times, unit busy deltas, energy-ring
-    // phase, renaming table) lives in a finite space and evolves
+    // contents and operand readiness, unit busy deltas, energy-ring
+    // phase, renaming table, all relative to the current cycle and
+    // the dispatch head) lives in a finite space and evolves
     // deterministically, so it must eventually recur; from the first
-    // recurrence on, the per-cycle current repeats exactly. Snapshot
-    // the normalized state at iteration boundaries after warmup and,
-    // once a snapshot repeats, replay the recorded period instead of
-    // re-simulating — bit-identical emission at O(period) memory and
-    // O(warmup + detection) simulated cycles.
-    bool detecting = loop;
-    bool have_ref = false;
-    std::size_t ref_cycle = 0;
-    std::vector<std::int64_t> ref_ints, cand_ints;
-    std::vector<double> ref_ring, cand_ring;
-    std::vector<double> rec_samples;
-    std::vector<std::uint32_t> rec_issued, rec_iters;
-    constexpr std::size_t kMaxRecord = 8192;
-
-    auto snapshotInto = [&](std::int64_t c,
-                            std::vector<std::int64_t> &ints,
-                            std::vector<double> &ring) {
-        ints.clear();
-        ring.clear();
-        auto encodeId = [&](std::int64_t p) {
-            if (p < 0) {
-                ints.push_back(0);
-                ints.push_back(0);
-                return;
-            }
-            const std::int64_t f = ft(p);
-            if (f < 0) {
-                // Unissued: identity relative to the dispatch head.
-                ints.push_back(1);
-                ints.push_back(p - next_dyn);
-            } else if (f <= c) {
-                ints.push_back(2); // done: any past finish is alike
-                ints.push_back(0);
-            } else {
-                ints.push_back(3);
-                ints.push_back(f - c);
-            }
-        };
-        ints.push_back(static_cast<std::int64_t>(next_slot));
-        ints.push_back(static_cast<std::int64_t>(window.size()));
-        for (const auto &e : window) {
-            ints.push_back(static_cast<std::int64_t>(e.slot));
-            ints.push_back(e.dyn_id - next_dyn);
-            encodeId(e.producer0);
-            encodeId(e.producer1);
-        }
+    // recurrence on, the per-cycle current repeats exactly. From
+    // cycle 0, each iteration boundary's state is hashed and compared
+    // against one reference state; only an equal hash builds the
+    // full state, and only an equal full state counts. The reference
+    // moves forward, Brent-style, whenever the record since it
+    // reaches 256, 512, ... cycles, so a reference taken before the
+    // loop settled cannot block every later match. Once a state
+    // recurs, the recorded period is replayed instead of
+    // re-simulated, and only cycles past warmup are emitted.
+    auto entryWords = [&](const WindowEntry &e, std::int64_t c,
+                          auto &&put) {
+        put(static_cast<std::int64_t>(e.slot));
+        put(e.dyn_id - next_dyn);
+        put(std::max<std::int64_t>(e.ready - c, 0));
+        for (std::int64_t p : e.waiting_on)
+            put(p < 0 ? 0 : p - next_dyn);
+    };
+    auto sharedWords = [&](std::int64_t c, auto &&put) {
+        put(static_cast<std::int64_t>(next_slot));
+        put(static_cast<std::int64_t>(window_count));
         for (const auto &busy : fu_busy)
             for (std::int64_t b : busy)
-                ints.push_back(std::max<std::int64_t>(b - c, 0));
-        for (const auto &lw : last_writer)
-            for (std::int64_t id : lw)
-                encodeId(id);
+                put(std::max<std::int64_t>(b - c, 0));
+        // An unissued writer by its id relative to the dispatch head
+        // (negative), an in-flight one by its cycles to go
+        // (positive); a finished writer is alike any past one (0).
+        for (const auto &regs : last_writer)
+            for (const Writer &w : regs)
+                put(w.dyn_id < 0 ? 0
+                    : w.finish < 0
+                        ? w.dyn_id - next_dyn
+                        : std::max<std::int64_t>(w.finish - c, 0));
         for (std::size_t j = 1; j <= kEnergyRing; ++j)
-            ring.push_back(
-                energy[(static_cast<std::size_t>(c) + j)
-                       % kEnergyRing]);
+            put(std::bit_cast<std::int64_t>(
+                energy[(static_cast<std::size_t>(c) + j) % kEnergyRing]));
     };
+    auto stateHash = [&](std::int64_t c) {
+        std::uint64_t h = 0;
+        sharedWords(c, [&](std::int64_t w) {
+            h = foldWord(h, static_cast<std::uint64_t>(w));
+        });
+        // Entries sum their own hashes: which storage slot holds an
+        // entry does not matter.
+        std::uint64_t sum = 0;
+        for (const WindowEntry &e : entries) {
+            if (!e.live)
+                continue;
+            std::uint64_t he = 0;
+            entryWords(e, c, [&](std::int64_t w) {
+                he = foldWord(he, static_cast<std::uint64_t>(w));
+            });
+            sum += he;
+        }
+        return foldWord(h, sum);
+    };
+    std::vector<std::uint32_t> by_age;
+    auto snapshotInto = [&](std::int64_t c,
+                            std::vector<std::int64_t> &words) {
+        words.clear();
+        const auto put = [&](std::int64_t w) { words.push_back(w); };
+        sharedWords(c, put);
+        by_age.clear();
+        for (std::uint32_t i = 0; i < entries.size(); ++i)
+            if (entries[i].live)
+                by_age.push_back(i);
+        std::sort(by_age.begin(), by_age.end(), older);
+        for (std::uint32_t i : by_age)
+            entryWords(entries[i], c, put);
+    };
+    bool have_ref = false;
+    std::uint64_t ref_hash = 0;
+    std::size_t anchor_at = 256;
+    std::vector<std::int64_t> ref_words, cand_words;
+    std::vector<RecordedCycle> record;
 
-    std::size_t cycle = 0;
     std::size_t live_cycles = 0; ///< Cycles simulated one by one.
     for (; cycle < total_cycles; ++cycle) {
+        // Wake the entries whose operands are ready from this cycle.
+        auto &woken = wake_at[cycle % kEnergyRing];
+        for (std::uint32_t ei : woken)
+            makeReady(ei);
+        woken.clear();
+
         // Dispatch into the window.
-        while (window.size() < params_.window_size && dispatch_one()) {
+        while (window_count < window_cap && dispatch_one()) {
         }
-        if (window.empty() && stream_done)
+        if (window_count == 0 && stream_done)
             break;
         ++live_cycles;
 
@@ -298,70 +471,88 @@ CoreModel::simulateInto(const isa::InstructionPool &pool,
         unsigned issued_this_cycle = 0;
         std::uint32_t iters_this_cycle = 0;
 
-        for (auto it = window.begin();
-             it != window.end()
-             && issued_this_cycle < params_.issue_width;) {
-            const isa::Instruction &instr = body[it->slot];
-            const isa::InstrDef &d = pool.def(instr.def_index);
-
-            // Operand readiness.
-            const bool ready =
-                (it->producer0 < 0
-                 || (ft(it->producer0) >= 0
-                     && ft(it->producer0) <= c))
-                && (it->producer1 < 0
-                    || (ft(it->producer1) >= 0
-                        && ft(it->producer1) <= c));
-
-            // Functional-unit availability.
-            int unit = -1;
-            const FuKind fu = fuKindForClass(d.cls);
-            auto &busy = fu_busy[static_cast<std::size_t>(fu)];
-            if (ready) {
-                for (std::size_t u = 0; u < busy.size(); ++u) {
-                    if (busy[u] <= c) {
-                        unit = static_cast<int>(u);
-                        break;
-                    }
-                }
+        // Issue: each pick is the oldest ready entry whose kind has a
+        // free unit, on that kind's lowest free unit. Units only fill
+        // up within a cycle, so this is the order a scan of the whole
+        // window, oldest first, issues in. In order, only the window's
+        // oldest entry may issue (the window holds consecutive ids,
+        // so that is next_dyn - count), and anything else stalls.
+        while (issued_this_cycle < params_.issue_width) {
+            std::size_t kind = kKinds;
+            std::size_t unit = 0;
+            for (unsigned m = ready_kinds; m != 0; m &= m - 1) {
+                const auto k = static_cast<std::size_t>(std::countr_zero(m));
+                if (kind < kKinds
+                    && entries[ready[k].front()].dyn_id
+                        > entries[ready[kind].front()].dyn_id)
+                    continue;
+                std::size_t u = 0;
+                while (u < fu_busy[k].size() && fu_busy[k][u] > c)
+                    ++u;
+                if (u == fu_busy[k].size() && params_.out_of_order)
+                    continue;
+                kind = k;
+                unit = u;
             }
-
-            if (ready && unit >= 0) {
-                // Issue.
-                const auto lat =
-                    static_cast<std::int64_t>(d.latency);
-                requireSim(
-                    lat <= static_cast<std::int64_t>(kEnergyRing),
-                    "instruction latency exceeds the energy ring; "
-                    "enlarge kEnergyRing");
-                ft(it->dyn_id) = c + lat;
-                busy[static_cast<std::size_t>(unit)] =
-                    isUnpipelined(d.cls) ? c + lat : c + 1;
-                // Spread switching energy over the latency; front-end
-                // overhead lands on the issue cycle.
-                const double e_op = d.energy * params_.energy_scale;
-                const double per_cycle =
-                    e_op / static_cast<double>(d.latency);
-                for (std::int64_t k = c; k < c + lat; ++k) {
-                    energy[static_cast<std::size_t>(k)
-                           % kEnergyRing] += per_cycle;
-                }
-                energy[cycle % kEnergyRing] += params_.issue_energy;
-
-                ++issued_total;
-                ++issued_this_cycle;
-                if (cycle >= warmup_cycles)
-                    ++issued_in_window;
-                if (loop && it->slot == 0) {
-                    iter_starts.push_back(c);
-                    ++iters_this_cycle;
-                }
-                it = window.erase(it);
-                continue;
-            }
-            if (!params_.out_of_order)
+            if (kind == kKinds)
+                break;
+            const std::uint32_t ei = ready[kind].front();
+            WindowEntry &e = entries[ei];
+            auto &busy = fu_busy[kind];
+            if (!params_.out_of_order
+                && (e.dyn_id
+                        != next_dyn - static_cast<std::int64_t>(window_count)
+                    || unit == busy.size()))
                 break; // in-order: stall behind the oldest.
-            ++it;
+            ready[kind].popFront();
+            if (ready[kind].empty())
+                ready_kinds &= ~(1u << kind);
+            const isa::Instruction &instr = body[e.slot];
+            const DecodedOp &op = *e.op;
+
+            // Issue.
+            requireSim(op.latency <= static_cast<std::int64_t>(kEnergyRing),
+                       "instruction latency exceeds the energy ring; "
+                       "enlarge kEnergyRing");
+            const std::int64_t finish = c + op.latency;
+            busy[unit] = op.unpipelined ? finish : c + 1;
+            // Spread switching energy over the latency; front-end
+            // overhead lands on the issue cycle.
+            for (std::int64_t k = c; k < finish; ++k)
+                energy[static_cast<std::size_t>(k) % kEnergyRing] +=
+                    op.per_cycle;
+            energy[cycle % kEnergyRing] += params_.issue_energy;
+
+            ++issued_this_cycle;
+            if (cycle >= warmup_cycles)
+                ++issued_in_window;
+            if (loop && e.slot == 0) {
+                iter_starts.push_back(c);
+                ++iters_this_cycle;
+            }
+
+            // Wake the consumers: each learns this finish cycle, and
+            // one waiting on nothing else is due then.
+            for (std::uint32_t link = e.waiters; link != kNoLink;
+                 link = next_waiter[link]) {
+                WindowEntry &w = entries[link / 2];
+                w.waiting_on[link % 2] = -1;
+                w.ready = std::max(w.ready, finish);
+                if (w.waiting_on[0] < 0 && w.waiting_on[1] < 0)
+                    wake_at[static_cast<std::size_t>(w.ready)
+                            % kEnergyRing]
+                        .push_back(link / 2);
+            }
+            if (op.has_dest && instr.dest >= 0) {
+                Writer &w = last_writer[op.rf]
+                                       [static_cast<std::size_t>(
+                                           instr.dest)];
+                if (w.dyn_id == e.dyn_id)
+                    w.finish = finish;
+            }
+            e.live = false;
+            free_entries.push_back(ei);
+            --window_count;
         }
 
         // End of cycle: every issue reaching this cycle has already
@@ -374,72 +565,44 @@ CoreModel::simulateInto(const isa::InstructionPool &pool,
             out.push_back(emitted);
         energy[slot] = 0.0;
 
-        if (detecting && cycle >= warmup_cycles) {
-            if (have_ref) {
-                rec_samples.push_back(emitted);
-                rec_issued.push_back(issued_this_cycle);
-                rec_iters.push_back(iters_this_cycle);
-            }
-            if (iters_this_cycle > 0) {
-                if (!have_ref) {
-                    snapshotInto(c, ref_ints, ref_ring);
-                    have_ref = true;
-                    ref_cycle = cycle;
-                } else {
-                    snapshotInto(c, cand_ints, cand_ring);
-                    if (cand_ints == ref_ints
-                        && cand_ring == ref_ring) {
-                        // Recurrence: cycles ref_cycle+1..cycle form
-                        // one exact period. Replay it for the rest
-                        // of the run.
-                        const std::size_t period = rec_samples.size();
-                        for (std::size_t cyc = cycle + 1;
-                             cyc < total_cycles; ++cyc) {
-                            const std::size_t idx =
-                                (cyc - ref_cycle - 1) % period;
-                            out.push_back(rec_samples[idx]);
-                            issued_in_window += rec_issued[idx];
-                            for (std::uint32_t r = 0;
-                                 r < rec_iters[idx]; ++r)
-                                iter_starts.push_back(
-                                    static_cast<std::int64_t>(cyc));
-                        }
-                        cycle = total_cycles;
-                        break;
+        if (!loop)
+            continue;
+        if (have_ref)
+            record.push_back({emitted, issued_this_cycle, iters_this_cycle});
+        if (iters_this_cycle == 0)
+            continue;
+        const std::uint64_t hash = stateHash(c);
+        if (have_ref && hash == ref_hash) {
+            snapshotInto(c, cand_words);
+            if (cand_words == ref_words) {
+                // Recurrence: the cycles recorded since the reference
+                // form one exact period. Replay it for the rest of the
+                // run, emitting only cycles past warmup.
+                std::size_t idx = 0;
+                for (std::size_t cyc = cycle + 1; cyc < total_cycles;
+                     ++cyc) {
+                    const RecordedCycle &r = record[idx];
+                    if (++idx == record.size())
+                        idx = 0;
+                    if (cyc >= warmup_cycles) {
+                        out.push_back(r.current);
+                        issued_in_window += r.issued;
                     }
+                    for (std::uint32_t n = 0; n < r.iters; ++n)
+                        iter_starts.push_back(
+                            static_cast<std::int64_t>(cyc));
                 }
-            }
-            if (rec_samples.size() > kMaxRecord) {
-                // No recurrence within the budget: give up and keep
-                // simulating cycle by cycle.
-                detecting = false;
-                std::vector<double>().swap(rec_samples);
-                std::vector<std::uint32_t>().swap(rec_issued);
-                std::vector<std::uint32_t>().swap(rec_iters);
+                cycle = total_cycles;
+                break;
             }
         }
-
-        // Periodically evict finish times no dispatched or future
-        // instruction can reference: producers come either from the
-        // window entries or from the monotonically advancing
-        // last_writer table.
-        if ((cycle & 4095) == 4095) {
-            std::int64_t min_live = next_dyn;
-            for (const auto &lw : last_writer)
-                for (std::int64_t id : lw)
-                    if (id >= 0)
-                        min_live = std::min(min_live, id);
-            for (const auto &e : window) {
-                min_live = std::min(min_live, e.dyn_id);
-                if (e.producer0 >= 0)
-                    min_live = std::min(min_live, e.producer0);
-                if (e.producer1 >= 0)
-                    min_live = std::min(min_live, e.producer1);
-            }
-            while (ft_base < min_live) {
-                finish_time.pop_front();
-                ++ft_base;
-            }
+        if (!have_ref || record.size() >= anchor_at) {
+            if (have_ref)
+                anchor_at *= 2;
+            snapshotInto(c, ref_words);
+            ref_hash = hash;
+            record.clear();
+            have_ref = true;
         }
     }
 

@@ -9,6 +9,9 @@
  *  - in-order (scoreboard) issue, modeling the Cortex-A53;
  *  - out-of-order (renamed, windowed) issue, modeling the Cortex-A72
  *    and the AMD Athlon II.
+ * The engine is event-driven: a producer's issue wakes its consumers
+ * for the cycle their operands are ready, and each cycle picks only
+ * from ready lists, oldest first, on the lowest free unit.
  *
  * The current model: each executing instruction spreads its effective
  * switching energy uniformly over its latency; the front end adds a
@@ -51,8 +54,8 @@ struct CoreParams
     std::string name = "generic";
     bool out_of_order = true;
     unsigned issue_width = 2;   ///< Max instructions issued per cycle.
-    unsigned window_size = 32;  ///< OoO scheduling window (ignored
-                                ///< for in-order cores).
+    unsigned window_size = 32;  ///< Dispatched, unissued entries
+                                ///< (in order: the front buffer).
     unsigned fu_int = 2;        ///< Integer ALUs.
     unsigned fu_int_mul = 1;    ///< Integer multiply/divide units.
     unsigned fu_fp = 2;         ///< FP units.
@@ -102,6 +105,9 @@ class CoreModel
     /**
      * Run a kernel as an infinite loop for a target duration and
      * return the steady-state current trace plus loop statistics.
+     * Once the loop's microarchitectural state recurs (usually well
+     * within the warmup), the rest of the run repeats the recorded
+     * period, bit for bit what stepping it would emit.
      *
      * @param pool       Pool the kernel's instructions refer to.
      * @param kernel     Loop body to execute.
@@ -127,8 +133,11 @@ class CoreModel
   private:
     /**
      * Step the engine and append each post-warmup cycle's current to
-     * `out`. A loop whose microarchitectural state recurs is
-     * fast-forwarded from there by repeating the recorded period.
+     * `out`. From cycle 0, a loop's normalized state is hashed at
+     * each iteration boundary and compared, hash first and then in
+     * full, with a reference state that moves forward whenever the
+     * record since it reaches 256, 512, ... cycles. Once a state
+     * recurs, the rest of the run repeats the recorded period.
      */
     KernelRunStats simulateInto(const isa::InstructionPool &pool,
                                 std::span<const isa::Instruction> body,

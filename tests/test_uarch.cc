@@ -15,6 +15,7 @@
 #include "isa/pool.h"
 #include "uarch/core_model.h"
 #include "util/error.h"
+#include "util/metrics.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "workloads/workload.h"
@@ -405,6 +406,30 @@ TEST(CoreModel, SeededCorpusEmitsPinnedBits)
         EXPECT_EQ(stream.value(), cpu.stream_hash)
             << std::hex << "0x" << stream.value();
     }
+}
+
+TEST(CoreModel, RecurringLoopIsReplayedBeforeWarmupEnds)
+{
+    // Steady-state detection starts at cycle 0: a loop that settles
+    // within a few iterations is replayed long before the warmup
+    // (max(1024, 32 x 16) cycles) is over.
+    const auto pool = isa::InstructionPool::armV8();
+    const CoreModel a72(cortexA72Params());
+    const bool was = metrics::enabled();
+    metrics::setEnabled(true);
+    const auto live = [] {
+        const auto snap = metrics::Registry::instance().snapshot();
+        const auto it = snap.counters.find("uarch.live_cycles");
+        return it == snap.counters.end() ? std::uint64_t{0} : it->second;
+    };
+    const std::uint64_t before = live();
+    const auto run =
+        a72.runLoop(pool, independentAdds(pool, 16), 1.2e9, 4e-6);
+    const std::uint64_t stepped = live() - before;
+    metrics::setEnabled(was);
+    EXPECT_GT(stepped, 0u);
+    EXPECT_LT(stepped, 1024u);
+    EXPECT_EQ(run.current.size(), 4801u);
 }
 
 class FuKindMapping
