@@ -29,7 +29,7 @@
 #include "util/metrics.h"
 #include "util/rng.h"
 #include "util/table.h"
-#include "util/thread_pool.h"
+#include "util/worker_fleet.h"
 
 namespace emstress {
 namespace bench {

@@ -252,74 +252,5 @@ PeakToPeakFitness::clone() const
     return copy;
 }
 
-InProcessTarget::InProcessTarget(platform::Platform &plat,
-                                 const EvalSettings &settings)
-    : plat_(plat), settings_(settings)
-{}
-
-void
-InProcessTarget::deploy(const isa::Kernel &kernel)
-{
-    if (inject_failures_ > 0) {
-        --inject_failures_;
-        throw SimulationError("injected deploy failure to "
-                              + describe());
-    }
-    if (injector_) {
-        injector_->atCounted(FaultPoint::ConnectionTimeout,
-                             kernel.hash(), deploy_attempt_,
-                             latency_.deploy_s + latency_.timeout_s);
-    }
-    kernel.validate(plat_.pool()); // "compile": reject bad encodings
-    deployed_ = kernel;
-    has_deployed_ = true;
-    lab_seconds_ += latency_.deploy_s;
-}
-
-void
-InProcessTarget::startRun()
-{
-    requireSim(has_deployed_, "startRun before deploy");
-    if (injector_) {
-        injector_->atCounted(FaultPoint::KernelHang, deployed_.hash(),
-                             start_attempt_,
-                             latency_.start_stop_s
-                                 + latency_.timeout_s);
-    }
-    running_ = true;
-    lab_seconds_ += latency_.start_stop_s * 0.5;
-}
-
-Trace
-InProcessTarget::measureEm()
-{
-    requireSim(running_, "measureEm while no binary is running");
-    if (injector_) {
-        injector_->atCounted(FaultPoint::TriggerMiss,
-                             deployed_.hash(), measure_attempt_,
-                             latency_.per_sample_s
-                                 + latency_.timeout_s);
-    }
-    lab_seconds_ += latency_.per_sample_s;
-    return plat_
-        .runKernel(deployed_, settings_.duration_s,
-                   settings_.active_cores)
-        .em;
-}
-
-void
-InProcessTarget::stopRun()
-{
-    requireSim(running_, "stopRun while nothing runs");
-    running_ = false;
-    lab_seconds_ += latency_.start_stop_s * 0.5;
-}
-
-std::string
-InProcessTarget::describe() const
-{
-    return "in-process://" + plat_.config().name;
-}
-
 } // namespace core
 } // namespace emstress

@@ -1,7 +1,8 @@
 /**
  * @file
- * Fitness evaluators binding the GA to a simulated platform, plus the
- * in-process TargetConnection implementation. Three metrics, matching
+ * Fitness evaluators binding the GA to a simulated platform — the
+ * one model of the paper's host-target measurement loop (Section
+ * 3.2), with its latency and fault points. Three metrics, matching
  * the paper: maximum EM amplitude in the 1st-order resonance band
  * (the novel contribution) and, where direct voltage visibility
  * exists, maximum droop and peak-to-peak voltage (the baselines used
@@ -34,7 +35,6 @@
 
 #include "ga/fault_injector.h"
 #include "ga/ga_engine.h"
-#include "ga/target_connection.h"
 #include "platform/platform.h"
 #include "util/faultpoint.h"
 #include "util/units.h"
@@ -263,61 +263,6 @@ class PeakToPeakFitness : public PlatformFitness
                       const EvalSettings &settings)
         : PlatformFitness(std::move(owned), settings)
     {}
-};
-
-/**
- * In-process implementation of the workstation-to-target loop: the
- * "target" is the simulated platform; deploy/compile/run/terminate
- * book-keep state and lab-time, and measureEm produces the antenna
- * waveform. Supports fault injection for robustness tests.
- */
-class InProcessTarget : public ga::TargetConnection
-{
-  public:
-    InProcessTarget(platform::Platform &plat,
-                    const EvalSettings &settings);
-
-    void deploy(const isa::Kernel &kernel) override;
-    void startRun() override;
-    Trace measureEm() override;
-    void stopRun() override;
-    const ga::ConnectionLatency &latency() const override
-    {
-        return latency_;
-    }
-    std::string describe() const override;
-
-    /** Make the next n deploys fail (transport fault injection). */
-    void injectDeployFailures(std::size_t n) { inject_failures_ = n; }
-
-    /**
-     * Install a schedule-driven fault injector: deploy() can then
-     * time out, startRun() hang and measureEm() miss its trigger,
-     * each at the schedule's rate with per-verb attempt counters (so
-     * an outer retry loop sees fresh draws per retry).
-     */
-    void
-    setFaultInjector(std::shared_ptr<ga::FaultInjector> injector)
-    {
-        injector_ = std::move(injector);
-    }
-
-    /** Total modeled lab seconds spent so far. */
-    double labSecondsSpent() const { return lab_seconds_; }
-
-  private:
-    platform::Platform &plat_;
-    EvalSettings settings_;
-    ga::ConnectionLatency latency_;
-    isa::Kernel deployed_;
-    bool has_deployed_ = false;
-    bool running_ = false;
-    std::size_t inject_failures_ = 0;
-    double lab_seconds_ = 0.0;
-    std::shared_ptr<ga::FaultInjector> injector_;
-    std::uint32_t deploy_attempt_ = 0;
-    std::uint32_t start_attempt_ = 0;
-    std::uint32_t measure_attempt_ = 0;
 };
 
 } // namespace core

@@ -63,30 +63,30 @@ BatchEvaluator::lookup(std::uint64_t hash,
     return nullptr;
 }
 
-bool
+WorkerFleet *
 BatchEvaluator::ensureWorkers()
 {
     if (clone_failed_)
-        return false;
+        return nullptr;
     if (config_.fleet == nullptr && threads_ <= 1)
-        return false;
-    if (!clones_.empty())
-        return true;
-    clones_.reserve(threads_);
-    for (std::size_t w = 0; w < threads_; ++w) {
-        auto c = base_.clone();
-        if (!c) {
-            // Evaluator cannot run concurrently: degrade to serial.
-            clones_.clear();
-            clone_failed_ = true;
-            return false;
+        return nullptr;
+    if (clones_.empty()) {
+        clones_.reserve(threads_);
+        for (std::size_t w = 0; w < threads_; ++w) {
+            auto c = base_.clone();
+            if (!c) {
+                // Evaluator cannot run concurrently: degrade to serial.
+                clones_.clear();
+                clone_failed_ = true;
+                return nullptr;
+            }
+            clones_.push_back(std::move(c));
         }
-        clones_.push_back(std::move(c));
+        if (config_.fleet == nullptr)
+            own_fleet_ = std::make_unique<WorkerFleet>(threads_);
+        stats_.threads = std::max(stats_.threads, threads_);
     }
-    if (config_.fleet == nullptr)
-        pool_ = std::make_unique<ThreadPool>(threads_);
-    stats_.threads = std::max(stats_.threads, threads_);
-    return true;
+    return config_.fleet != nullptr ? config_.fleet : own_fleet_.get();
 }
 
 BatchEvaluator::Outcome
@@ -154,8 +154,8 @@ BatchEvaluator::evaluate(const std::vector<isa::Kernel> &kernels,
     }
 
     // Phase 2: run the fresh evaluations — in parallel when the
-    // evaluator clones (over the private pool, or as one batch on
-    // the shared fleet), serially in index order otherwise. Each
+    // evaluator clones (as one batch on its own or the shared
+    // fleet), serially in index order otherwise. Each
     // task writes only its own FreshTask entry (including its fault
     // counters), so the results and accounting are independent of
     // scheduling. FaultErrors are retried under the configured
@@ -220,12 +220,13 @@ BatchEvaluator::evaluate(const std::vector<isa::Kernel> &kernels,
         metrics::ScopedPhase task_span("batch.eval_task");
         runOne(*clones_[worker], fresh[i]);
     };
-    if (config_.fleet != nullptr && !fresh.empty()
-        && ensureWorkers()) {
-        config_.fleet->run(fresh.size(), instrumentedTask,
-                           cancel_flag);
-    } else if (fresh.size() > 1 && ensureWorkers()) {
-        pool_->parallelFor(fresh.size(), instrumentedTask);
+    // A shared fleet takes even a single task (it interleaves with
+    // other jobs'); an own fleet only pays off for two or more.
+    const std::size_t min_parallel = config_.fleet != nullptr ? 1 : 2;
+    WorkerFleet *fleet =
+        fresh.size() >= min_parallel ? ensureWorkers() : nullptr;
+    if (fleet != nullptr) {
+        fleet->run(fresh.size(), instrumentedTask, cancel_flag);
     } else {
         for (FreshTask &task : fresh) {
             if (cancel_flag != nullptr

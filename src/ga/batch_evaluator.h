@@ -18,11 +18,12 @@
  *     is on. Keys are Kernel::hash() with full structural equality
  *     verification, so a hash collision degrades to a redundant
  *     evaluation, never a wrong fitness.
- *  3. Parallelism: fresh evaluations fan out either over a private
- *     ThreadPool or — in service mode — over a shared WorkerFleet
- *     multiplexing tasks from many concurrent jobs; either way each
- *     worker uses its own FitnessEvaluator clone. Evaluators that
- *     cannot clone degrade to serial evaluation.
+ *  3. Parallelism: fresh evaluations fan out as one WorkerFleet
+ *     batch, over a fleet the evaluator owns or — in service mode —
+ *     over a shared fleet multiplexing tasks from many concurrent
+ *     jobs; either way each worker uses its own FitnessEvaluator
+ *     clone. Evaluators that cannot clone degrade to serial
+ *     evaluation.
  *  4. Fault tolerance: an evaluation that throws FaultError (an
  *     injected or real lab-link fault) is retried with bounded
  *     modeled backoff; an individual whose every attempt faults is
@@ -51,7 +52,6 @@
 #include "ga/ga_engine.h"
 #include "isa/kernel.h"
 #include "util/cancellation.h"
-#include "util/thread_pool.h"
 #include "util/worker_fleet.h"
 
 namespace emstress {
@@ -77,9 +77,9 @@ struct BatchConfig
     /// guarantee.
     RetryPolicy retry;
     /// Shared worker fleet (service mode): fresh evaluations are
-    /// submitted as one fleet batch, interleaving with other jobs'
-    /// tasks, instead of running on a private pool. Not owned; must
-    /// outlive the evaluator.
+    /// submitted to it, interleaving with other jobs' tasks, instead
+    /// of to a fleet of `threads` workers the evaluator owns. Not
+    /// owned; must outlive the evaluator.
     WorkerFleet *fleet = nullptr;
     /// Cooperative cancellation: once the token reads true, fresh
     /// evaluations not yet started are skipped (see guarantee 5).
@@ -157,15 +157,16 @@ class BatchEvaluator
     const CacheEntry *lookup(std::uint64_t hash,
                              const isa::Kernel &kernel) const;
 
-    /** Lazily build the workers + clones; false -> serial fallback. */
-    bool ensureWorkers();
+    /** Lazily build the clones (and the evaluator's own fleet when
+     *  none is shared); nullptr -> serial fallback. */
+    WorkerFleet *ensureWorkers();
 
     FitnessEvaluator &base_;
     BatchConfig config_;
     std::size_t threads_; ///< Resolved request (>= 1).
     bool clone_failed_ = false;
     std::vector<std::unique_ptr<FitnessEvaluator>> clones_;
-    std::unique_ptr<ThreadPool> pool_;
+    std::unique_ptr<WorkerFleet> own_fleet_;
     std::unordered_multimap<std::uint64_t, CacheEntry> cache_;
     EvalStats stats_;
 };

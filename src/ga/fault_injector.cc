@@ -25,19 +25,6 @@ FaultInjector::at(FaultPoint point, std::uint64_t key,
 }
 
 void
-FaultInjector::atCounted(FaultPoint point, std::uint64_t key,
-                         std::uint32_t &counter, double cost_seconds)
-{
-    const std::uint32_t attempt = counter;
-    if (schedule_.fires(point, key, attempt)) {
-        ++counter;
-        recordInjected(point);
-        throw FaultError(point, key, attempt, cost_seconds);
-    }
-    counter = 0;
-}
-
-void
 FaultInjector::recordInjected(FaultPoint point)
 {
     injected_[static_cast<std::size_t>(point)].fetch_add(
@@ -122,99 +109,6 @@ FaultyEvaluator::clone() const
         return nullptr;
     return std::unique_ptr<FitnessEvaluator>(new FaultyEvaluator(
         std::move(inner), injector_, latency_));
-}
-
-FaultyTargetConnection::FaultyTargetConnection(
-    TargetConnection &base, std::shared_ptr<FaultInjector> injector)
-    : base_(base), injector_(std::move(injector))
-{
-    requireConfig(injector_ != nullptr,
-                  "FaultyTargetConnection needs a fault injector");
-}
-
-void
-FaultyTargetConnection::deploy(const isa::Kernel &kernel)
-{
-    key_ = kernel.hash();
-    const ConnectionLatency &lat = base_.latency();
-    injector_->atCounted(FaultPoint::ConnectionTimeout, key_,
-                         deploy_attempt_,
-                         lat.deploy_s + lat.timeout_s);
-    base_.deploy(kernel);
-}
-
-void
-FaultyTargetConnection::startRun()
-{
-    const ConnectionLatency &lat = base_.latency();
-    injector_->atCounted(FaultPoint::KernelHang, key_, start_attempt_,
-                         lat.start_stop_s + lat.timeout_s);
-    base_.startRun();
-}
-
-Trace
-FaultyTargetConnection::measureEm()
-{
-    const ConnectionLatency &lat = base_.latency();
-    injector_->atCounted(FaultPoint::TriggerMiss, key_,
-                         measure_attempt_,
-                         lat.per_sample_s + lat.timeout_s);
-    return base_.measureEm();
-}
-
-void
-FaultyTargetConnection::stopRun()
-{
-    base_.stopRun();
-}
-
-const ConnectionLatency &
-FaultyTargetConnection::latency() const
-{
-    return base_.latency();
-}
-
-std::string
-FaultyTargetConnection::describe() const
-{
-    return "faulty+" + base_.describe();
-}
-
-Trace
-measureEmWithRetry(TargetConnection &conn, const isa::Kernel &kernel,
-                   const RetryPolicy &policy, MeasureRetryLog *log)
-{
-    requireConfig(policy.max_attempts >= 1,
-                  "retry policy needs at least one attempt");
-    for (std::uint32_t attempt = 0;; ++attempt) {
-        bool started = false;
-        try {
-            conn.deploy(kernel);
-            conn.startRun();
-            started = true;
-            Trace em = conn.measureEm();
-            conn.stopRun();
-            return em;
-        } catch (const FaultError &) {
-            if (started) {
-                // Best-effort cleanup: a hung or glitched run is
-                // killed before re-trying; failures to stop an
-                // already-dead run are not themselves fatal.
-                try {
-                    conn.stopRun();
-                } catch (...) {
-                }
-            }
-            if (log != nullptr)
-                ++log->faults;
-            if (attempt + 1 >= policy.max_attempts)
-                throw;
-            if (log != nullptr) {
-                ++log->retries;
-                log->backoff_seconds += policy.backoffFor(attempt + 1);
-            }
-        }
-    }
 }
 
 } // namespace ga

@@ -2,20 +2,16 @@
  * @file
  * Fault-injection harness for the GA's measurement loop. A
  * FaultInjector binds a FaultSchedule (util/faultpoint.h) to the
- * evaluation pipeline: evaluators and target connections ask it, at
+ * evaluation pipeline: evaluators ask it, at
  * each named fault point, whether this (kernel, attempt) faults —
  * and it throws a FaultError when the schedule says so, while
  * keeping thread-safe per-point injection counters for reporting.
  *
- * Two decorators make any existing component faultable without
- * touching it:
- *  - FaultyEvaluator wraps a FitnessEvaluator and injects the
- *    connection-level faults (timeout, hang, glitched reading)
- *    around the wrapped evaluation — the synthetic-fitness GA tests
- *    use it to prove fault-tolerant evaluation end to end;
- *  - FaultyTargetConnection wraps a TargetConnection and faults its
- *    deploy/start/measure verbs, with measureEmWithRetry() as the
- *    retrying driver a host-side loop would use.
+ * FaultyEvaluator makes any FitnessEvaluator faultable without
+ * touching it: it injects the connection-level faults (timeout,
+ * hang, glitched reading) around the wrapped evaluation — the
+ * synthetic-fitness GA and service tests use it to prove
+ * fault-tolerant evaluation end to end.
  *
  * The platform-bound evaluators (core/fitness.h) consult an injector
  * directly so that stream-truncation faults can unwind
@@ -32,11 +28,28 @@
 #include <string>
 
 #include "ga/ga_engine.h"
-#include "ga/target_connection.h"
 #include "util/faultpoint.h"
 
 namespace emstress {
 namespace ga {
+
+/**
+ * Timing model of the paper's host-target-instrument loop (Section
+ * 3.2): the GA host ships each individual to the target, which
+ * compiles and runs it while the host reads the analyzer. Costs
+ * modeled lab time for measurements and faulted attempts.
+ */
+struct ConnectionLatency
+{
+    double deploy_s = 0.3;      ///< Ship + compile one individual.
+    double start_stop_s = 0.1;  ///< Launch and kill the binary.
+    double per_sample_s = 0.6;  ///< One instrument sample (the paper:
+                                ///< 30 samples take ~18 s).
+    double timeout_s = 5.0;     ///< Host-side wait before an
+                                ///< unresponsive deploy/run/trigger
+                                ///< is declared faulted; charged to
+                                ///< every faulted attempt.
+};
 
 /**
  * Thread-safe injection driver around a FaultSchedule. Deciding
@@ -60,16 +73,6 @@ class FaultInjector
      */
     void at(FaultPoint point, std::uint64_t key,
             std::uint32_t attempt, double cost_seconds);
-
-    /**
-     * Sequential variant for callers that track the attempt number
-     * in a member counter (e.g. a TargetConnection retried by an
-     * outer loop): checks at(point, key, counter, ...), advancing
-     * the counter when the fault fires and resetting it to zero when
-     * the operation passes.
-     */
-    void atCounted(FaultPoint point, std::uint64_t key,
-                   std::uint32_t &counter, double cost_seconds);
 
     /**
      * Record an injection performed by an external component built
@@ -130,56 +133,6 @@ class FaultyEvaluator : public FitnessEvaluator
     std::shared_ptr<FaultInjector> injector_;
     ConnectionLatency latency_;
 };
-
-/**
- * Decorator that faults a TargetConnection's verbs: deploy() can
- * time out, startRun() can hang, measureEm() can miss its trigger.
- * Attempt numbers advance per verb via FaultInjector::atCounted, so
- * an outer retry loop (measureEmWithRetry) sees fresh schedule draws
- * on each retry and convergent behavior at rates below 1.
- */
-class FaultyTargetConnection : public TargetConnection
-{
-  public:
-    FaultyTargetConnection(TargetConnection &base,
-                           std::shared_ptr<FaultInjector> injector);
-
-    void deploy(const isa::Kernel &kernel) override;
-    void startRun() override;
-    Trace measureEm() override;
-    void stopRun() override;
-    const ConnectionLatency &latency() const override;
-    std::string describe() const override;
-
-  private:
-    TargetConnection &base_;
-    std::shared_ptr<FaultInjector> injector_;
-    std::uint64_t key_ = 0; ///< Hash of the last deployed kernel.
-    std::uint32_t deploy_attempt_ = 0;
-    std::uint32_t start_attempt_ = 0;
-    std::uint32_t measure_attempt_ = 0;
-};
-
-/** Accounting from one retried measurement. */
-struct MeasureRetryLog
-{
-    std::size_t faults = 0;  ///< FaultErrors caught (incl. final).
-    std::size_t retries = 0; ///< Attempts re-issued after a fault.
-    double backoff_seconds = 0.0; ///< Modeled wait time accrued.
-};
-
-/**
- * Host-side measurement driver: deploy / start / measure / stop with
- * bounded retry on FaultError. After a fault the run is stopped
- * best-effort, the modeled backoff is charged, and the loop retries
- * until success or `policy.max_attempts` total tries, rethrowing the
- * last FaultError on exhaustion. Non-fault exceptions propagate
- * immediately.
- */
-Trace measureEmWithRetry(TargetConnection &conn,
-                         const isa::Kernel &kernel,
-                         const RetryPolicy &policy,
-                         MeasureRetryLog *log = nullptr);
 
 } // namespace ga
 } // namespace emstress

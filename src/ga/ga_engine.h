@@ -247,13 +247,14 @@ void validateGaConfig(const GaConfig &config);
 /**
  * Service-era extension points threaded into a run's batch
  * evaluator. Default-constructed hooks reproduce the batch-era
- * behavior exactly: a private thread pool and no cancellation.
+ * behavior exactly: a worker fleet of GaConfig::threads that the
+ * evaluator owns, and no cancellation.
  */
 struct BatchHooks
 {
-    /// Shared worker fleet to evaluate on instead of a private pool
-    /// (the fleet's worker count overrides GaConfig::threads). Not
-    /// owned; must outlive the run.
+    /// Shared worker fleet to evaluate on instead of the evaluator's
+    /// own (the fleet's worker count overrides GaConfig::threads).
+    /// Not owned; must outlive the run.
     WorkerFleet *fleet = nullptr;
     /// Cooperative cancellation: once fired, pending evaluations are
     /// drained without being scored, cached or charged.

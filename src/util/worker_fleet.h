@@ -1,16 +1,14 @@
 /**
  * @file
- * A shared worker fleet multiplexing task batches from many
- * concurrent producers — the service-era generalization of
- * util/thread_pool.h. Where ThreadPool::parallelFor runs exactly one
- * job at a time (the batch-harness shape: evaluate a generation,
- * join, breed), a WorkerFleet accepts batches from any number of
- * threads at once: each caller blocks only on *its own* batch while
- * the workers drain every admitted batch in admission order, so the
- * evaluation tasks of hundreds of in-flight search jobs share one
- * fixed set of threads.
+ * The one worker pool: a fixed set of persistent threads draining
+ * task batches from any number of concurrent producers. A caller
+ * blocks only on *its own* batch while the workers drain every
+ * admitted batch in admission order, so a GA generation's fresh
+ * evaluations, a resonance sweep's grid points and the evaluation
+ * tasks of hundreds of in-flight service jobs all share the same
+ * primitive.
  *
- * Design constraints, mirroring ThreadPool's:
+ * Design constraints:
  *  - Callers own determinism. Each task receives its item index and
  *    the executing worker id; per-worker state (cloned platforms)
  *    is indexed by worker id and reproducible noise derives from the
@@ -27,25 +25,82 @@
  *    set. Skipped tasks are *counted and reported* to the submitting
  *    caller only; other batches in flight are untouched.
  *  - The first exception a batch's task throws is rethrown on that
- *    batch's submitting thread after the batch drains.
+ *    batch's submitting thread after the batch drains; the batch's
+ *    other tasks still run.
  */
 
 #ifndef EMSTRESS_UTIL_WORKER_FLEET_H
 #define EMSTRESS_UTIL_WORKER_FLEET_H
 
+#include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdlib>
+#include <cstring>
 #include <deque>
 #include <functional>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "util/error.h"
-#include "util/thread_pool.h"
 
 namespace emstress {
+
+/// Largest worker count any pool accepts. Thread counts come from
+/// outside the program (EMSTRESS_THREADS, --fleet-threads), and a
+/// typo there must fail as a ConfigError, not start 10^8 threads.
+inline constexpr std::size_t kMaxThreads = 1024;
+
+/**
+ * Number of worker threads to use when a caller asks for "auto"
+ * (thread count 0): the EMSTRESS_THREADS environment variable when
+ * set to a positive whole decimal (resolveThreadCount() rejects one
+ * above kMaxThreads), otherwise the hardware concurrency, clamped to
+ * [1, kMaxThreads].
+ *
+ * @throws ConfigError when EMSTRESS_THREADS is set to anything but
+ *         a whole decimal that fits a size_t (e.g. "8x").
+ */
+inline std::size_t
+defaultThreadCount()
+{
+    // Operational knob, not a seed: thread count never changes
+    // results (the determinism suite proves 1/2/8-thread
+    // bit-identity), only how fast they arrive.
+    const char *env = std::getenv("EMSTRESS_THREADS"); // lint: env-config
+    if (env != nullptr && *env != '\0') {
+        const char *end = env + std::strlen(env);
+        std::size_t v = 0;
+        const auto [ptr, ec] = std::from_chars(env, end, v);
+        requireConfig(ptr == end && ec == std::errc(),
+                      "EMSTRESS_THREADS must be a whole decimal, got '"
+                          + std::string(env) + "'");
+        if (v >= 1)
+            return v;
+    }
+    const unsigned hw = std::thread::hardware_concurrency();
+    return std::clamp<std::size_t>(hw, 1, kMaxThreads);
+}
+
+/**
+ * Resolve a requested thread count: 0 means defaultThreadCount(),
+ * anything else is taken literally.
+ *
+ * @throws ConfigError when the count exceeds kMaxThreads.
+ */
+inline std::size_t
+resolveThreadCount(std::size_t requested)
+{
+    const std::size_t n =
+        requested == 0 ? defaultThreadCount() : requested;
+    requireConfig(n <= kMaxThreads,
+                  "thread count above kMaxThreads (1024)");
+    return n;
+}
 
 /**
  * Fixed set of persistent workers draining task batches from any
@@ -95,10 +150,11 @@ class WorkerFleet
 
     /**
      * Submit one batch — fn(i, worker) for every i in [0, n) — and
-     * block until every index is executed or skipped. Unlike
-     * ThreadPool::parallelFor this may be called from any number of
-     * threads concurrently (but not from inside a fleet task: a
-     * worker waiting on its own fleet would deadlock the fleet).
+     * block until every index is executed or skipped. This may be
+     * called from any number of threads concurrently, but not from
+     * inside one of this fleet's own tasks: a worker waiting on its
+     * own fleet could deadlock it, so that call throws
+     * SimulationError instead.
      *
      * @param n      Item count.
      * @param fn     Task body; each index runs at most once.
@@ -113,6 +169,8 @@ class WorkerFleet
         BatchOutcome out;
         if (n == 0)
             return out;
+        requireSim(current_fleet_ != this,
+                   "WorkerFleet::run is not reentrant");
         Batch batch;
         batch.fn = &fn;
         batch.n = n;
@@ -165,6 +223,7 @@ class WorkerFleet
     void
     workerLoop(std::size_t worker)
     {
+        current_fleet_ = this;
         std::unique_lock<std::mutex> lock(mutex_);
         for (;;) {
             work_cv_.wait(lock, [this] {
@@ -207,6 +266,11 @@ class WorkerFleet
                 batch->done_cv.notify_all();
         }
     }
+
+    /// The fleet this thread works for (nullptr off every fleet):
+    /// per-thread, so run()'s reentrancy check needs no lock.
+    static inline thread_local const WorkerFleet *current_fleet_ =
+        nullptr;
 
     std::vector<std::thread> workers_;
     std::mutex mutex_;

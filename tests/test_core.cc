@@ -101,31 +101,6 @@ TEST(Fitness, DroopAndP2pAgreeOnOrdering)
     EXPECT_GT(p2p.evaluate(resonant, nullptr), 0.0);
 }
 
-TEST(InProcessTargetTest, LifecycleAndFaultInjection)
-{
-    platform::Platform a72(platform::junoA72Config(), 3);
-    InProcessTarget target(a72, fastEval());
-    EXPECT_EQ(target.describe(), "in-process://Cortex-A72");
-
-    const auto kernel = ResonanceExplorer::probeLoop(a72.pool());
-    // Protocol violations are rejected.
-    EXPECT_THROW(target.startRun(), SimulationError);
-    target.deploy(kernel);
-    EXPECT_THROW((void)target.measureEm(), SimulationError);
-    target.startRun();
-    const Trace em = target.measureEm();
-    EXPECT_GT(em.size(), 1000u);
-    target.stopRun();
-    EXPECT_THROW(target.stopRun(), SimulationError);
-    EXPECT_GT(target.labSecondsSpent(), 0.0);
-
-    // Injected transport failures surface as SimulationError.
-    target.injectDeployFailures(2);
-    EXPECT_THROW(target.deploy(kernel), SimulationError);
-    EXPECT_THROW(target.deploy(kernel), SimulationError);
-    EXPECT_NO_THROW(target.deploy(kernel));
-}
-
 TEST(VirusGeneratorTest, EmSearchImprovesAndFindsResonance)
 {
     platform::Platform a72(platform::junoA72Config(), 3);

@@ -259,38 +259,6 @@ TEST(FaultInjector, ThrowsPerScheduleAndCounts)
     EXPECT_EQ(inj->totalInjected(), 1u);
 }
 
-TEST(FaultInjector, CountedAttemptsAdvanceAndReset)
-{
-    // Fire on attempts 0 and 1, pass from attempt 2 on: the counted
-    // helper must walk the attempt number forward on each fault and
-    // reset it once the operation goes through.
-    FaultRates rates;
-    rates[FaultPoint::ConnectionTimeout] = 0.5;
-    const std::uint64_t key = [&] {
-        for (std::uint64_t k = 1;; ++k) {
-            const FaultSchedule s(21, rates);
-            if (s.fires(FaultPoint::ConnectionTimeout, k, 0)
-                && s.fires(FaultPoint::ConnectionTimeout, k, 1)
-                && !s.fires(FaultPoint::ConnectionTimeout, k, 2))
-                return k;
-        }
-    }();
-    FaultInjector inj(FaultSchedule(21, rates));
-    std::uint32_t counter = 0;
-    EXPECT_THROW(inj.atCounted(FaultPoint::ConnectionTimeout, key,
-                               counter, 1.0),
-                 FaultError);
-    EXPECT_EQ(counter, 1u);
-    EXPECT_THROW(inj.atCounted(FaultPoint::ConnectionTimeout, key,
-                               counter, 1.0),
-                 FaultError);
-    EXPECT_EQ(counter, 2u);
-    EXPECT_NO_THROW(inj.atCounted(FaultPoint::ConnectionTimeout, key,
-                                  counter, 1.0));
-    EXPECT_EQ(counter, 0u); // reset for the next operation
-    EXPECT_EQ(inj.injected(FaultPoint::ConnectionTimeout), 2u);
-}
-
 TEST(RetryPolicy, BackoffGrowsExponentiallyToCap)
 {
     RetryPolicy policy;
@@ -632,116 +600,6 @@ TEST(GaUnderFaults, EvalStatsSurfaceSamplesMaterialized)
     const GaResult result = engine.run(fitness);
     EXPECT_EQ(result.eval_stats.samples_materialized,
               result.eval_stats.evals * 7u);
-}
-
-// ---------------------------------------------------------------
-// Target-connection decorators and the retrying driver.
-// ---------------------------------------------------------------
-
-void
-expectTracesIdentical(const Trace &a, const Trace &b)
-{
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i)
-        ASSERT_EQ(a[i], b[i]) << "sample " << i;
-}
-
-TEST(MeasureRetry, FaultyConnectionRecoversBitIdentically)
-{
-    platform::Platform plat(platform::junoA72Config(), 3);
-    core::EvalSettings eval;
-    eval.duration_s = 1e-6;
-    Rng rng(17);
-    const auto kernel = isa::Kernel::random(plat.pool(), 16, rng);
-
-    // Fault-free reference measurement.
-    core::InProcessTarget clean(plat, eval);
-    clean.deploy(kernel);
-    clean.startRun();
-    const Trace want = clean.measureEm();
-    clean.stopRun();
-
-    // Decorated connection: deploy/start/measure fault per schedule;
-    // the retrying driver must converge on the identical waveform.
-    // Pick a schedule seed that faults this kernel's first deploy
-    // but lets attempt 1 pass, so the retry path definitely runs.
-    const std::uint64_t sched_seed = [&] {
-        for (std::uint64_t s = 400;; ++s) {
-            const FaultSchedule trial(s, FaultRates::uniform(0.5));
-            if (trial.fires(FaultPoint::ConnectionTimeout,
-                            kernel.hash(), 0)
-                && !trial.fires(FaultPoint::ConnectionTimeout,
-                                kernel.hash(), 1))
-                return s;
-        }
-    }();
-    core::InProcessTarget target(plat, eval);
-    auto inj = std::make_shared<FaultInjector>(
-        FaultSchedule(sched_seed, FaultRates::uniform(0.5)));
-    FaultyTargetConnection faulty(target, inj);
-    EXPECT_EQ(faulty.describe().rfind("faulty+", 0), 0u);
-
-    RetryPolicy policy;
-    policy.max_attempts = 12;
-    MeasureRetryLog log;
-    const Trace got = measureEmWithRetry(faulty, kernel, policy, &log);
-    expectTracesIdentical(got, want);
-    EXPECT_GT(inj->totalInjected(), 0u);
-    EXPECT_EQ(log.faults, inj->totalInjected());
-    // The measurement succeeded, so every caught fault was retried.
-    EXPECT_EQ(log.retries, log.faults);
-    EXPECT_GT(log.backoff_seconds, 0.0);
-}
-
-TEST(MeasureRetry, InProcessTargetInjectorRecovers)
-{
-    platform::Platform plat(platform::junoA72Config(), 3);
-    core::EvalSettings eval;
-    eval.duration_s = 1e-6;
-    Rng rng(19);
-    const auto kernel = isa::Kernel::random(plat.pool(), 16, rng);
-
-    core::InProcessTarget clean(plat, eval);
-    clean.deploy(kernel);
-    clean.startRun();
-    const Trace want = clean.measureEm();
-    clean.stopRun();
-
-    core::InProcessTarget target(plat, eval);
-    auto inj = std::make_shared<FaultInjector>(
-        FaultSchedule(405, FaultRates::uniform(0.5)));
-    target.setFaultInjector(inj);
-    RetryPolicy policy;
-    policy.max_attempts = 12;
-    MeasureRetryLog log;
-    const Trace got =
-        measureEmWithRetry(target, kernel, policy, &log);
-    expectTracesIdentical(got, want);
-    EXPECT_GT(inj->totalInjected(), 0u);
-    EXPECT_EQ(log.faults, inj->totalInjected());
-}
-
-TEST(MeasureRetry, ExhaustionRethrowsTheLastFault)
-{
-    platform::Platform plat(platform::junoA72Config(), 3);
-    core::EvalSettings eval;
-    eval.duration_s = 1e-6;
-    Rng rng(23);
-    const auto kernel = isa::Kernel::random(plat.pool(), 16, rng);
-
-    core::InProcessTarget target(plat, eval);
-    FaultRates rates;
-    rates[FaultPoint::ConnectionTimeout] = 1.0;
-    auto inj =
-        std::make_shared<FaultInjector>(FaultSchedule(1, rates));
-    target.setFaultInjector(inj);
-    RetryPolicy policy;
-    policy.max_attempts = 3;
-    MeasureRetryLog log;
-    EXPECT_THROW(measureEmWithRetry(target, kernel, policy, &log),
-                 FaultError);
-    EXPECT_EQ(log.faults, 3u);
-    EXPECT_EQ(log.retries, 2u); // the final fault is not retried
 }
 
 // ---------------------------------------------------------------

@@ -1212,7 +1212,8 @@ TEST(ServiceDeterminism, InProcessJobsMatchDirectRunsAcrossFleets)
     }
 }
 
-/** The same contract with injected TargetConnection-level faults. */
+/** The same contract with connection-level faults injected by
+ *  FaultyEvaluator around each job's evaluator. */
 TEST(ServiceDeterminism, FaultInjectedJobsMatchDirectRunsAcrossFleets)
 {
     std::vector<JobSpec> specs;

@@ -1,15 +1,17 @@
 /**
  * @file
  * Unit tests for the util layer: units, stats, rng, trace, table,
- * thread pool.
+ * worker fleet.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
+#include <cstdlib>
 #include <functional>
 #include <numeric>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -18,9 +20,9 @@
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/table.h"
-#include "util/thread_pool.h"
 #include "util/trace.h"
 #include "util/units.h"
+#include "util/worker_fleet.h"
 
 namespace emstress {
 namespace {
@@ -480,111 +482,184 @@ TEST(Trace, SliceAtExactEndIsAllowed)
     EXPECT_TRUE(empty.empty());
 }
 
-TEST(ThreadPool, ParallelForVisitsEveryIndexOnce)
+TEST(WorkerFleet, RunVisitsEveryIndexOnce)
 {
-    ThreadPool pool(4);
+    WorkerFleet fleet(4);
     std::vector<std::atomic<int>> visits(257);
-    pool.parallelFor(visits.size(),
-                     [&](std::size_t i, std::size_t worker) {
-                         EXPECT_LT(worker, 4u);
-                         visits[i].fetch_add(1);
-                     });
+    const auto out =
+        fleet.run(visits.size(), [&](std::size_t i, std::size_t worker) {
+            EXPECT_LT(worker, 4u);
+            visits[i].fetch_add(1);
+        });
+    EXPECT_EQ(out.executed, visits.size());
+    EXPECT_EQ(out.skipped, 0u);
     for (const auto &v : visits)
         EXPECT_EQ(v.load(), 1);
 }
 
-TEST(ThreadPool, ReusableAcrossJobs)
+TEST(WorkerFleet, ReusableAcrossBatches)
 {
-    ThreadPool pool(3);
+    WorkerFleet fleet(3);
     std::atomic<long> sum{0};
     for (int job = 0; job < 20; ++job)
-        pool.parallelFor(100, [&](std::size_t i, std::size_t) {
+        fleet.run(100, [&](std::size_t i, std::size_t) {
             sum.fetch_add(static_cast<long>(i));
         });
     EXPECT_EQ(sum.load(), 20L * (99L * 100L / 2L));
 }
 
-TEST(ThreadPool, PropagatesFirstException)
+TEST(WorkerFleet, PropagatesFirstException)
 {
-    ThreadPool pool(2);
-    EXPECT_THROW(
-        pool.parallelFor(64,
-                         [](std::size_t i, std::size_t) {
-                             if (i == 13)
-                                 throw std::runtime_error("boom");
-                         }),
-        std::runtime_error);
-    // And the pool survives for the next job.
+    WorkerFleet fleet(2);
+    EXPECT_THROW(fleet.run(64,
+                           [](std::size_t i, std::size_t) {
+                               if (i == 13)
+                                   throw std::runtime_error("boom");
+                           }),
+                 std::runtime_error);
+    // And the fleet survives for the next batch.
     std::atomic<int> count{0};
-    pool.parallelFor(8, [&](std::size_t, std::size_t) { ++count; });
+    fleet.run(8, [&](std::size_t, std::size_t) { ++count; });
     EXPECT_EQ(count.load(), 8);
 }
 
-TEST(ThreadPool, ExceptionDoesNotAbandonRemainingItems)
+TEST(WorkerFleet, ExceptionDoesNotAbandonRemainingItems)
 {
     // The first exception is rethrown, but every other index must
     // still run: the GA's batch evaluator relies on a thrown task
     // not silently dropping its neighbours' results.
-    ThreadPool pool(4);
+    WorkerFleet fleet(4);
     std::vector<std::atomic<int>> visits(97);
-    EXPECT_THROW(
-        pool.parallelFor(visits.size(),
-                         [&](std::size_t i, std::size_t) {
-                             visits[i].fetch_add(1);
-                             if (i == 5)
-                                 throw std::runtime_error("boom");
-                         }),
-        std::runtime_error);
+    EXPECT_THROW(fleet.run(visits.size(),
+                           [&](std::size_t i, std::size_t) {
+                               visits[i].fetch_add(1);
+                               if (i == 5)
+                                   throw std::runtime_error("boom");
+                           }),
+                 std::runtime_error);
     for (std::size_t i = 0; i < visits.size(); ++i)
         EXPECT_EQ(visits[i].load(), 1) << "index " << i;
 }
 
-TEST(ThreadPool, NestedParallelForThrows)
+TEST(WorkerFleet, NestedRunThrows)
 {
-    // parallelFor is documented as non-reentrant; a task that calls
-    // back into its own pool must get a SimulationError, which then
-    // propagates to the outer call like any task exception.
-    ThreadPool pool(2);
-    EXPECT_THROW(
-        pool.parallelFor(4,
-                         [&](std::size_t, std::size_t) {
-                             pool.parallelFor(
-                                 1, [](std::size_t, std::size_t) {});
-                         }),
-        SimulationError);
-    // The pool stays usable afterwards.
+    // A task that calls back into its own fleet must get a
+    // SimulationError, which then propagates to the outer call like
+    // any task exception. One outer task on two workers: without the
+    // check the idle worker would serve the nested batch and the
+    // outer run would return normally, so this fails, not hangs.
+    WorkerFleet fleet(2);
+    EXPECT_THROW(fleet.run(1,
+                           [&](std::size_t, std::size_t) {
+                               fleet.run(1,
+                                         [](std::size_t, std::size_t) {});
+                           }),
+                 SimulationError);
+    // A worker of one fleet may still submit to another fleet.
+    WorkerFleet other(1);
+    std::atomic<int> inner{0};
+    fleet.run(1, [&](std::size_t, std::size_t) {
+        other.run(3, [&](std::size_t, std::size_t) { ++inner; });
+    });
+    EXPECT_EQ(inner.load(), 3);
+    // The fleet stays usable afterwards.
     std::atomic<int> count{0};
-    pool.parallelFor(8, [&](std::size_t, std::size_t) { ++count; });
+    fleet.run(8, [&](std::size_t, std::size_t) { ++count; });
     EXPECT_EQ(count.load(), 8);
 }
 
-TEST(ThreadPool, ShutdownWhileBusyCompletesTheJob)
+TEST(WorkerFleet, ShutdownWhileBusyCompletesTheBatch)
 {
     // Rapid construct / run / destroy cycles race worker startup,
-    // the job hand-off, and shutdown. A worker that observed stop_
-    // together with a fresh epoch used to abandon its share and
-    // leave parallelFor blocked; this loop is the detector.
+    // the batch hand-off, and shutdown; a worker that stopped with
+    // claims outstanding would leave run() blocked.
     for (int cycle = 0; cycle < 200; ++cycle) {
         std::atomic<int> count{0};
         {
-            ThreadPool pool(4);
-            pool.parallelFor(16, [&](std::size_t, std::size_t) {
+            WorkerFleet fleet(4);
+            fleet.run(16, [&](std::size_t, std::size_t) {
                 count.fetch_add(1);
             });
             // Destructor runs immediately: stop_ lands while workers
-            // may still be draining or have never woken.
+            // may still be waking or have never woken.
         }
         EXPECT_EQ(count.load(), 16) << "cycle " << cycle;
     }
-    // Construct-and-destroy with no job at all must not hang either.
+    // Construct-and-destroy with no batch at all must not hang either.
     for (int cycle = 0; cycle < 50; ++cycle)
-        ThreadPool idle(3);
+        WorkerFleet idle(3);
 }
 
-TEST(ThreadPool, ResolveThreadCount)
+TEST(WorkerFleet, PresetCancelFlagSkipsEveryIndex)
+{
+    WorkerFleet fleet(3);
+    const std::atomic<bool> cancel{true};
+    std::atomic<int> ran{0};
+    const auto out = fleet.run(
+        40, [&](std::size_t, std::size_t) { ++ran; }, &cancel);
+    EXPECT_EQ(ran.load(), 0);
+    EXPECT_EQ(out.executed, 0u);
+    EXPECT_EQ(out.skipped, 40u);
+    EXPECT_EQ(out.executed + out.skipped, 40u);
+}
+
+/** Sets EMSTRESS_THREADS (nullptr unsets it) for one scope. */
+class ScopedThreadsEnv
+{
+  public:
+    explicit ScopedThreadsEnv(const char *value)
+    {
+        if (const char *old = std::getenv("EMSTRESS_THREADS"))
+            saved_ = old;
+        set(value);
+    }
+    ~ScopedThreadsEnv() { set(saved_ ? saved_->c_str() : nullptr); }
+
+  private:
+    static void
+    set(const char *value)
+    {
+        if (value != nullptr)
+            ::setenv("EMSTRESS_THREADS", value, 1);
+        else
+            ::unsetenv("EMSTRESS_THREADS");
+    }
+
+    std::optional<std::string> saved_;
+};
+
+TEST(WorkerFleet, ResolveThreadCount)
 {
     EXPECT_EQ(resolveThreadCount(3), 3u);
-    EXPECT_GE(resolveThreadCount(0), 1u); // auto is at least one
+    EXPECT_EQ(resolveThreadCount(kMaxThreads), kMaxThreads);
+    // Counts from outside the program are bounded before any thread
+    // starts (only the resolver runs here; no pool is built).
+    EXPECT_THROW(resolveThreadCount(kMaxThreads + 1), ConfigError);
+    EXPECT_THROW(resolveThreadCount(100000000), ConfigError);
+    {
+        const ScopedThreadsEnv env(nullptr);
+        EXPECT_GE(resolveThreadCount(0), 1u); // auto is at least one
+        EXPECT_LE(defaultThreadCount(), kMaxThreads);
+    }
+    {
+        const ScopedThreadsEnv env("8");
+        EXPECT_EQ(defaultThreadCount(), 8u);
+        EXPECT_EQ(resolveThreadCount(0), 8u);
+        EXPECT_EQ(resolveThreadCount(2), 2u); // explicit wins
+    }
+    for (const char *bad : {"8x", "abc", "-3", " 8", "+8", "8.0"}) {
+        const ScopedThreadsEnv env(bad);
+        EXPECT_THROW(defaultThreadCount(), ConfigError) << bad;
+    }
+    for (const char *huge : {"100000000", "99999999999999999999999"}) {
+        const ScopedThreadsEnv env(huge);
+        EXPECT_THROW(resolveThreadCount(0), ConfigError) << huge;
+    }
+    for (const char *automatic : {"0", ""}) {
+        const ScopedThreadsEnv env(automatic);
+        EXPECT_GE(defaultThreadCount(), 1u) << '"' << automatic << '"';
+        EXPECT_LE(defaultThreadCount(), kMaxThreads);
+    }
 }
 
 TEST(Trace, ResampleToCoarserGridDecimates)

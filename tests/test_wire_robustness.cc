@@ -12,9 +12,11 @@
 
 #include <atomic>
 #include <bit>
+#include <condition_variable>
 #include <cstdint>
 #include <filesystem>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
@@ -371,15 +373,86 @@ expectBitIdentical(const ga::GaResult &a, const ga::GaResult &b,
     }
 }
 
+/**
+ * Lets the first `free_evals` evaluations through, then parks every
+ * later one until open(): holds a job mid-search for as long as a
+ * test needs it.
+ */
+class EvalGate
+{
+  public:
+    explicit EvalGate(std::size_t free_evals) : free_(free_evals) {}
+
+    void
+    pass()
+    {
+        std::unique_lock<std::mutex> lock(mutex_);
+        if (free_ > 0) {
+            --free_;
+            return;
+        }
+        cv_.wait(lock, [this] { return open_; });
+    }
+
+    void
+    open()
+    {
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            open_ = true;
+        }
+        cv_.notify_all();
+    }
+
+  private:
+    std::mutex mutex_;
+    std::condition_variable cv_;
+    std::size_t free_;  // guards: mutex_
+    bool open_ = false; // guards: mutex_
+};
+
+/** SyntheticFitness behind an EvalGate shared by every clone. */
+class GatedFitness : public SyntheticFitness
+{
+  public:
+    GatedFitness(const isa::InstructionPool &pool,
+                 std::shared_ptr<EvalGate> gate)
+        : SyntheticFitness(pool), pool_(pool), gate_(std::move(gate))
+    {}
+
+    double
+    evaluate(const isa::Kernel &kernel,
+             ga::EvalDetail *detail) override
+    {
+        gate_->pass();
+        return SyntheticFitness::evaluate(kernel, detail);
+    }
+
+    std::unique_ptr<ga::FitnessEvaluator>
+    clone() const override
+    {
+        return std::make_unique<GatedFitness>(pool_, gate_);
+    }
+
+  private:
+    const isa::InstructionPool &pool_;
+    std::shared_ptr<EvalGate> gate_;
+};
+
 /** A running daemon: service + socket server + accept thread. */
 struct Daemon
 {
     std::unique_ptr<SearchService> service;
     std::unique_ptr<SocketServer> server;
     std::thread accept_thread;
+    /// Opened by stop() once the server is down, so a gated job can
+    /// finish its step and the service can shut down.
+    std::shared_ptr<EvalGate> gate;
 
-    explicit Daemon(const ServiceConfig &config)
-        : service(std::make_unique<SearchService>(config))
+    explicit Daemon(const ServiceConfig &config,
+                    std::shared_ptr<EvalGate> eval_gate = nullptr)
+        : service(std::make_unique<SearchService>(config)),
+          gate(std::move(eval_gate))
     {
         server = std::make_unique<SocketServer>(
             *service, SocketServer::Options{});
@@ -399,6 +472,8 @@ struct Daemon
         if (accept_thread.joinable())
             accept_thread.join();
         server.reset();
+        if (gate)
+            gate->open();
         service.reset();
     }
 };
@@ -496,8 +571,21 @@ TEST(StreamingResume, DaemonRestartFallsBackToResubmit)
     const ga::GaResult direct = directRun(spec);
     std::atomic<std::uint16_t> port{0};
 
-    auto daemon = std::make_unique<Daemon>(
-        daemonConfig(2, dir.string()));
+    // The first daemon's job parks once it has made at most the
+    // fresh evaluations of its initial population and three bred
+    // generations: past generation 2, so the progress events below
+    // arrive, yet short of the end, so the job cannot complete (and
+    // its kCompleted reach the old socket) before the daemon dies.
+    const std::size_t free_evals =
+        spec.ga.population + 3 * (spec.ga.population - spec.ga.elite);
+    ASSERT_LT(free_evals, direct.eval_stats.evals);
+    ServiceConfig gated = daemonConfig(2, dir.string());
+    auto gate = std::make_shared<EvalGate>(free_evals);
+    gated.evaluator_factory = [gate](const JobSpec &s) {
+        return std::make_unique<GatedFitness>(presetPool(s.platform),
+                                              gate);
+    };
+    auto daemon = std::make_unique<Daemon>(gated, gate);
     port.store(daemon->port());
 
     ReconnectingClient::Options options;
